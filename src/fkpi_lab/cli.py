@@ -244,14 +244,22 @@ def _fill_section(name, present):
     return out
 
 
-def parse_config(text, command=None):
-    """Parse and validate a JSON config; `command` overrides/fills the key."""
+def _json_object(text):
     try:
         raw = json.loads(text) if text.strip() else {}
     except json.JSONDecodeError as exc:
         raise ValueError(f"config is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ValueError("config must be a JSON object")
+    return raw
+
+
+def parse_config(text, command=None):
+    """Parse and validate a JSON config; `command` overrides/fills the key."""
+    return _build_config(_json_object(text), command)
+
+
+def _build_config(raw, command):
     cfg = _walk_schema(raw)
 
     cmd = cfg.get("command")
@@ -267,27 +275,24 @@ def parse_config(text, command=None):
         raise ValueError(f"'command' must be one of {list(COMMANDS)}, got {cmd!r}")
 
     alpha = cfg.get("alpha", SCHEMA["alpha"].default)
-    if not (2.0 <= alpha < 4.0):
-        raise ValueError(f"alpha must lie in [2, 4), got {alpha}")
+    DispersionParams(alpha)  # range check
     seed = cfg.get("seed", SCHEMA["seed"].default)
     workers = cfg.get("workers", SCHEMA["workers"].default)
     if workers < 0:
         raise ValueError(f"workers must be nonnegative, got {workers}")
 
-    grid = None
-    if "grid" in cfg:
-        g = _fill_section("grid", cfg["grid"])
-        grid = FrequencyGrid(length_x=g["length_x"], length_y=g["length_y"],
-                             modes_x=g["modes_x"], modes_y=g["modes_y"])
-    evolution = None
-    if "evolution" in cfg:
-        e = _fill_section("evolution", cfg["evolution"])
-        evolution = EvolutionConfig(dt=e["dt"], T=e["T"], scheme=e["scheme"],
-                                    dealias=e["dealias"],
-                                    snapshot_stride=e["snapshot_stride"])
+    echo = {"command": cmd, "alpha": alpha, "seed": seed, "workers": workers,
+            "output_dir": cfg.get("output_dir", SCHEMA["output_dir"].default),
+            "format": cfg.get("format", SCHEMA["format"].default)}
+    for name in ("grid", "evolution", "probe"):
+        if name in cfg:
+            echo[name] = _fill_section(name, cfg[name])
+    # schema keys of these sections are the constructors' field names
+    grid = FrequencyGrid(**echo["grid"]) if "grid" in echo else None
+    evolution = EvolutionConfig(**echo["evolution"]) if "evolution" in echo else None
     probe = None
-    if "probe" in cfg:
-        p = _fill_section("probe", cfg["probe"])
+    if "probe" in echo:
+        p = echo["probe"]
         if p["dyadic_range"] is None:
             raise ValueError("'probe.dyadic_range' is required when the "
                              "probe section is given")
@@ -301,12 +306,6 @@ def parse_config(text, command=None):
         for name in ("data", "conserve", "strichartz", "bilinear", "trilinear",
                      "scaling", "illposedness", "scan", "transversality")
     }
-    echo = {"command": cmd, "alpha": alpha, "seed": seed, "workers": workers,
-            "output_dir": cfg.get("output_dir", SCHEMA["output_dir"].default),
-            "format": cfg.get("format", SCHEMA["format"].default)}
-    for name in ("grid", "evolution", "probe"):
-        if name in cfg:
-            echo[name] = _fill_section(name, cfg[name])
     echo.update(sections)
     return RunConfig(
         command=cmd, alpha=alpha, seed=seed, workers=workers,
@@ -376,19 +375,16 @@ def _evolve(config):
     traj = solve(params, u0, ev)
     masses = [mass(f) for f in traj.fields]
     energies = [energy_alpha(params, f) for f in traj.fields]
-    return params, traj, masses, energies
+    base = {"alpha": config.alpha, "dt": ev.dt, "T": ev.T, "scheme": ev.scheme,
+            "seed": config.seed}
+    return traj, base, masses, energies
 
 
 def _run_simulate(config):
-    params, traj, masses, energies = _evolve(config)
-    base = {"alpha": config.alpha, "dt": traj.config.dt, "T": traj.config.T,
-            "scheme": traj.config.scheme, "seed": config.seed}
-    records = [
-        make_record("simulate_mass", base, masses[-1], masses[0], True,
-                    note="final vs initial"),
-        make_record("simulate_energy", base, energies[-1], energies[0], True,
-                    note="final vs initial"),
-    ]
+    traj, base, masses, energies = _evolve(config)
+    records = [make_record("simulate_" + name, base, values[-1], values[0], True,
+                           note="final vs initial")
+               for name, values in (("mass", masses), ("energy", energies))]
     curves = [("mass_t", traj.times, masses), ("energy_t", traj.times, energies)]
     final = os.path.join(config.output_dir, "final_state.fkpi")
     save_field(traj.fields[-1], final)
@@ -396,106 +392,83 @@ def _run_simulate(config):
 
 
 def _run_conserve(config):
-    params, traj, masses, energies = _evolve(config)
+    traj, base, masses, energies = _evolve(config)
     tol = config.sections["conserve"]
-    base = {"alpha": config.alpha, "dt": traj.config.dt, "T": traj.config.T,
-            "scheme": traj.config.scheme, "seed": config.seed}
-    mass_drift = max(_rel_drift(m, masses[0]) for m in masses)
-    energy_drift = max(_rel_drift(e, energies[0]) for e in energies)
-    records = [
-        make_record("mass_drift", base, mass_drift, tol["mass_tol"],
-                    mass_drift <= tol["mass_tol"]),
-        make_record("energy_drift", base, energy_drift, tol["energy_tol"],
-                    energy_drift <= tol["energy_tol"]),
-    ]
-    curves = [
-        ("mass_drift_t", traj.times, [_rel_drift(m, masses[0]) for m in masses]),
-        ("energy_drift_t", traj.times,
-         [_rel_drift(e, energies[0]) for e in energies]),
-    ]
+    records, curves = [], []
+    for name, values in (("mass", masses), ("energy", energies)):
+        drift = [_rel_drift(v, values[0]) for v in values]
+        cap = tol[name + "_tol"]
+        records.append(make_record(name + "_drift", base, max(drift), cap,
+                                   max(drift) <= cap))
+        curves.append((name + "_drift_t", traj.times, drift))
     return records, curves
 
 
-def _default_sweep(config, dyadic_range, trials, band):
-    if config.probe is not None:
-        return config.probe
-    return ProbeSweep(alpha=config.alpha, dyadic_range=dyadic_range,
-                      trials_per_point=trials, seed=config.seed,
-                      tolerance_band=band)
+def _lw_band(params, sweep, sec, workers, grid):
+    if sec["comparator_shift"] != 0.0:
+        raise ValueError(
+            "trilinear.comparator_shift applies to the modulation sweeps "
+            "only, not to the lw_band regime")
+    return lw_band_sweep(params, sec["n2"], sweep, l=sec["l"], workers=workers,
+                         nodes=_nodes(sec))
 
 
-def _run_strichartz(config):
-    params = DispersionParams(config.alpha)
-    sec = config.sections["strichartz"]
-    workers = config.workers or os.cpu_count()
-    if sec["kind"] == "lowfreq":
-        sweep = _default_sweep(
-            config, tuple(2.0 ** -k for k in range(6, 0, -1)), 1, (-0.2, 0.2))
-        records = lowfreq_l4_sweep(params, sweep, grid=config.grid,
-                                   T=sec["T"], snapshots=sec["snapshots"],
-                                   eta_sigma=sec["eta_sigma"], workers=workers,
-                                   comparator_shift=sec["comparator_shift"])
-        name = "lowfreq_l4_N"
-    else:
-        sweep = _default_sweep(config, (8.0, 16.0, 32.0, 64.0, 128.0), 1,
-                               (-math.inf, 0.1))
-        spec = MixedNormSpec(sec["q"], sec["r"])
-        records = linear_strichartz_sweep(
-            params, spec, sweep, grid=config.grid, T=sec["T"],
-            snapshots=sec["snapshots"], eta_sigma=sec["eta_sigma"],
-            workers=workers, comparator_shift=sec["comparator_shift"])
-        name = "linear_strichartz_band_n"
-    curves = [(name, sweep.dyadic_range, [r.ratio for r in records[:-1]])]
-    return records, curves
+def _nodes(sec):
+    return (sec["nodes_tau"], sec["nodes_xi"], sec["nodes_eta"])
 
 
-def _run_bilinear(config):
-    params = DispersionParams(config.alpha)
-    sec = config.sections["bilinear"]
-    sweep = _default_sweep(config, (8.0, 16.0, 32.0, 64.0), 8,
-                           (-math.inf, 0.1))
-    records = bilinear_sweep(params, sec["n2"], sweep,
-                             workers=config.workers or os.cpu_count(),
-                             comparator_shift=sec["comparator_shift"],
-                             resolution=(sec["nk"], sec["nw"], sec["nx"]))
-    curves = [("bilinear_n1", sweep.dyadic_range,
-               [r.ratio for r in records[:-1]])]
-    return records, curves
+# (command, regime) -> canonical dyadic range, trials per point, slope band,
+# plot-curve name, and the probe call (params, sweep, section, workers, grid).
+# Probes are named inside the calls, so they are looked up when a sweep runs.
+SWEEPS = {
+    ("strichartz", "linear"): (
+        (8.0, 16.0, 32.0, 64.0, 128.0), 1, (-math.inf, 0.1),
+        "linear_strichartz_band_n",
+        lambda params, sweep, sec, workers, grid: linear_strichartz_sweep(
+            params, MixedNormSpec(sec["q"], sec["r"]), sweep, grid=grid,
+            T=sec["T"], snapshots=sec["snapshots"], eta_sigma=sec["eta_sigma"],
+            workers=workers, comparator_shift=sec["comparator_shift"])),
+    ("strichartz", "lowfreq"): (
+        tuple(2.0 ** -k for k in range(6, 0, -1)), 1, (-0.2, 0.2), "lowfreq_l4_N",
+        lambda params, sweep, sec, workers, grid: lowfreq_l4_sweep(
+            params, sweep, grid=grid, T=sec["T"], snapshots=sec["snapshots"],
+            eta_sigma=sec["eta_sigma"], workers=workers,
+            comparator_shift=sec["comparator_shift"])),
+    ("bilinear", None): (
+        (8.0, 16.0, 32.0, 64.0), 8, (-math.inf, 0.1), "bilinear_n1",
+        lambda params, sweep, sec, workers, grid: bilinear_sweep(
+            params, sec["n2"], sweep, workers=workers,
+            comparator_shift=sec["comparator_shift"],
+            resolution=(sec["nk"], sec["nw"], sec["nx"]))),
+    ("trilinear", "lw_band"): (
+        (8.0, 16.0, 32.0, 64.0), 4, (-math.inf, 0.2), "lw_n1", _lw_band),
+    ("trilinear", "lw_modulation"): (
+        (1.0, 2.0, 4.0, 8.0), 4, (-math.inf, 0.2), "lw_modulation_l",
+        lambda params, sweep, sec, workers, grid: lw_modulation_sweep(
+            params, sec["n1"], sec["n2"], sweep, workers=workers,
+            comparator_shift=sec["comparator_shift"], nodes=_nodes(sec))),
+    ("trilinear", "nonresonant"): (
+        (1.0, 2.0, 4.0, 8.0), 4, (-math.inf, 0.2), "nonresonant_l1",
+        lambda params, sweep, sec, workers, grid: nonresonant_modulation_sweep(
+            params, sec["n1"], sec["n2"], sweep,
+            l3=sec["l3"] if sec["l3"] > 0.0 else None, workers=workers,
+            comparator_shift=sec["comparator_shift"], nodes=_nodes(sec))),
+}
+
+# section key that picks the regime of a multi-regime sweep command
+REGIME_KEYS = {"strichartz": "kind", "trilinear": "regime"}
 
 
-def _run_trilinear(config):
-    params = DispersionParams(config.alpha)
-    sec = config.sections["trilinear"]
-    nodes = (sec["nodes_tau"], sec["nodes_xi"], sec["nodes_eta"])
-    workers = config.workers or os.cpu_count()
-    shift = sec["comparator_shift"]
-    if sec["regime"] == "lw_band":
-        if shift != 0.0:
-            raise ValueError(
-                "trilinear.comparator_shift applies to the modulation sweeps "
-                "only, not to the lw_band regime")
-        sweep = _default_sweep(config, (8.0, 16.0, 32.0, 64.0), 4,
-                               (-math.inf, 0.2))
-        records = lw_band_sweep(params, sec["n2"], sweep, l=sec["l"],
-                                workers=workers, nodes=nodes)
-        var = "lw_n1"
-    elif sec["regime"] == "lw_modulation":
-        sweep = _default_sweep(config, (1.0, 2.0, 4.0, 8.0), 4,
-                               (-math.inf, 0.2))
-        records = lw_modulation_sweep(params, sec["n1"], sec["n2"], sweep,
-                                      workers=workers, comparator_shift=shift,
-                                      nodes=nodes)
-        var = "lw_modulation_l"
-    else:
-        sweep = _default_sweep(config, (1.0, 2.0, 4.0, 8.0), 4,
-                               (-math.inf, 0.2))
-        l3 = sec["l3"] if sec["l3"] > 0.0 else None
-        records = nonresonant_modulation_sweep(
-            params, sec["n1"], sec["n2"], sweep, l3=l3, workers=workers,
-            comparator_shift=shift, nodes=nodes)
-        var = "nonresonant_l1"
-    curves = [(var, sweep.dyadic_range, [r.ratio for r in records[:-1]])]
-    return records, curves
+def _run_sweep(config):
+    sec = config.sections[config.command]
+    regime = sec[REGIME_KEYS[config.command]] if config.command in REGIME_KEYS else None
+    dyadic_range, trials, band, curve, probe = SWEEPS[config.command, regime]
+    sweep = config.probe or ProbeSweep(
+        alpha=config.alpha, dyadic_range=dyadic_range, trials_per_point=trials,
+        seed=config.seed, tolerance_band=band)
+    records = probe(DispersionParams(config.alpha), sweep, sec,
+                    config.workers or os.cpu_count(), config.grid)
+    return records, [(curve, sweep.dyadic_range, [r.ratio for r in records[:-1]])]
 
 
 def _run_scaling(config):
@@ -542,12 +515,8 @@ def _run_resonance_scan(config):
                                  samples=sec["samples"], seed=config.seed)
     base = {"alpha": config.alpha, "N": sec["N"], "gamma": gamma,
             "samples": sec["samples"], "seed": config.seed}
-    pairs = [
-        ("omega1_over_N^alpha*gamma",
-         report.omega1_ratio_min, report.omega1_ratio_max),
-        ("omega_over_N^(alpha-1)*gamma^2",
-         report.omega_ratio_min, report.omega_ratio_max),
-    ]
+    pairs = [(r["law"], r["ratio_min"], r["ratio_max"])
+             for r in report.json_records()]
     return _band_records("resonance_scan", base, pairs, 0.125, 8.0), []
 
 
@@ -571,9 +540,9 @@ def _run_transversality(config):
 HANDLERS = {
     "simulate": _run_simulate,
     "conserve": _run_conserve,
-    "strichartz": _run_strichartz,
-    "bilinear": _run_bilinear,
-    "trilinear": _run_trilinear,
+    "strichartz": _run_sweep,
+    "bilinear": _run_sweep,
+    "trilinear": _run_sweep,
     "scaling": _run_scaling,
     "illposedness": _run_illposedness,
     "resonance-scan": _run_resonance_scan,
@@ -684,7 +653,9 @@ def _schema_help():
         "{1/64..1/2}, band [-0.2, 0.2]",
         "  bilinear             N1 in {8..64}, 8 trials per point, slope cap 0.1",
         "  trilinear            N1 in {8..64} or L in {1..8}, 4 trials, "
-        "slope cap 0.2",
+        "slope cap 0.2; nonresonant",
+        "                       needs n1 <= n2/4: --set trilinear.n1=1 "
+        "--set trilinear.n2=8",
         "  scaling              512x1024 modes on a 64pi box",
         "",
         "exit status: 0 = all records pass, 2 = some record failed, "
@@ -719,20 +690,16 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        text = ""
         if args.config is not None:
             with open(args.config) as fh:
                 text = fh.read()
-        else:
-            text = "{}"
-        raw = json.loads(text) if text.strip() else {}
-        if not isinstance(raw, dict):
-            raise ValueError("config must be a JSON object")
-        apply_overrides(raw, args.overrides)
+        raw = apply_overrides(_json_object(text), args.overrides)
         if args.output_dir is not None:
             raw["output_dir"] = args.output_dir
         if args.seed is not None:
             raw["seed"] = args.seed
-        config = parse_config(json.dumps(raw), command=args.command)
+        config = _build_config(raw, args.command)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

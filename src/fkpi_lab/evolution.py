@@ -23,9 +23,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from . import grid as _grid
 from .grid import (
-    SpectralField,
     dealiased_product,
     require_zero_x_mean,
     save_field,
@@ -33,7 +31,7 @@ from .grid import (
     to_spectral,
     x_derivative,
 )
-from .symbols import interaction_boxes, resonance_arrays
+from .symbols import interaction_boxes, omega_arrays, resonance_arrays
 
 SCHEMES = ("etdrk4", "strang")
 
@@ -109,13 +107,11 @@ class Trajectory:
 
 @lru_cache(maxsize=16)
 def _omega_grid(grid, alpha):
-    xi, eta = grid.xi_grid, grid.eta_grid
-    with np.errstate(divide="ignore", invalid="ignore"):
-        om = np.where(
-            xi != 0.0,
-            np.abs(xi) ** alpha * xi + eta * eta / np.where(xi != 0.0, xi, 1.0),
-            0.0,
-        )
+    xi = grid.xi_grid
+    # omega is singular on the xi = 0 plane, which carries no zero-x-mean data
+    om = np.where(xi != 0.0,
+                  omega_arrays(alpha, np.where(xi != 0.0, xi, 1.0), grid.eta_grid),
+                  0.0)
     om.flags.writeable = False
     return om
 
@@ -425,7 +421,6 @@ def second_iterate_boxdata(params, N, gamma, sbar, t, quad_res=12):
     if t == 0.0:
         return 0.0
     alpha = params.alpha
-    _validate = interaction_boxes(alpha, N, gamma)  # noqa: F841  (geometry check)
     theta = -math.log(gamma) / math.log(N) - (alpha - 1.0) / 2.0
     if theta <= 0.0:
         raise ValueError("gamma too large: requires gamma < N^(-(alpha-1)/2)")

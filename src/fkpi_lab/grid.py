@@ -197,10 +197,17 @@ def _require_same_grid(f, g):
         raise ValueError("fields live on different grids")
 
 
-def require_zero_x_mean(field, what="operation"):
-    res = field.x_mean_residual()
+def plane_residual(field, index):
+    """Largest |coefficient| at coeffs[index], or 0.0 when that is round-off:
+    at most ZERO_X_MEAN_RTOL times the field's largest coefficient (or 1)."""
+    res = float(np.max(np.abs(field.coeffs[index])))
     scale = max(1.0, float(np.max(np.abs(field.coeffs))))
-    if res > ZERO_X_MEAN_RTOL * scale:
+    return res if res > ZERO_X_MEAN_RTOL * scale else 0.0
+
+
+def require_zero_x_mean(field, what="operation"):
+    res = plane_residual(field, (0, slice(None)))
+    if res:
         raise ValueError(
             f"{what} requires zero x-mean: residual {res:.3e} on the xi=0 plane"
         )
@@ -226,16 +233,12 @@ def to_spectral(samples, grid, is_real=None):
     return SpectralField(grid, coeffs, is_real)
 
 
-def _multiplier_apply(field, mult):
-    return field.with_coeffs(field.coeffs * mult)
-
-
 def x_derivative(field):
-    return _multiplier_apply(field, 1j * field.grid.xi_grid)
+    return field.with_coeffs(field.coeffs * (1j * field.grid.xi_grid))
 
 
 def y_derivative(field):
-    return _multiplier_apply(field, 1j * field.grid.eta_grid)
+    return field.with_coeffs(field.coeffs * (1j * field.grid.eta_grid))
 
 
 def x_antiderivative(field):
@@ -244,7 +247,7 @@ def x_antiderivative(field):
     xi = field.grid.xi_grid
     with np.errstate(divide="ignore", invalid="ignore"):
         mult = np.where(xi != 0.0, 1.0 / (1j * xi), 0.0)
-    return _multiplier_apply(field, mult)
+    return field.with_coeffs(field.coeffs * mult)
 
 
 def fractional_x_derivative(field, s):
@@ -256,7 +259,7 @@ def fractional_x_derivative(field, s):
     xi = field.grid.xi_grid
     with np.errstate(divide="ignore"):
         mult = np.where(xi != 0.0, np.abs(xi) ** float(s), 0.0)
-    return _multiplier_apply(field, mult)
+    return field.with_coeffs(field.coeffs * mult)
 
 
 def project_dyadic(field, band):
@@ -264,7 +267,7 @@ def project_dyadic(field, band):
     n = band.value if isinstance(band, DyadicBand) else DyadicBand(band).value
     a = np.abs(field.grid.xi_grid)
     mask = (a > n / 2.0) & (a <= n)
-    return _multiplier_apply(field, mask.astype(float))
+    return field.with_coeffs(field.coeffs * mask.astype(float))
 
 
 def dealiased_product(f, g):

@@ -139,6 +139,27 @@ def _run_points(point_fn, keys, workers):
         return list(pool.map(point_fn, keys))
 
 
+def _sweep(sweep, point, var, inputs, workers, shift=0.0, symbol="N"):
+    """Run point(x) over the sweep, then append the slope verdict.
+
+    A nonzero shift multiplies each point's comparator by x^shift (the
+    negative controls); symbol names x in the record note.
+    """
+    def one(x):
+        rec = point(x)
+        if shift == 0.0:
+            return rec
+        return make_record(rec.probe_name, rec.inputs, rec.measured,
+                           rec.comparator * x ** shift, rec.passed,
+                           note=f"comparator shifted by {symbol}^{shift}")
+
+    records = _run_points(one, sweep.dyadic_range, workers)
+    summary = _slope_summary(records[0].probe_name, var, sweep.dyadic_range,
+                             [r.ratio for r in records], sweep.tolerance_band,
+                             inputs)
+    return records + [summary]
+
+
 # ------------------------------------------------------- record persistence
 
 
@@ -250,23 +271,12 @@ def linear_strichartz_sweep(params, spec, sweep, grid=None, T=1.0, snapshots=128
         grid = FrequencyGrid(length_x=2.0 * math.pi, length_y=2.0 * math.pi,
                              modes_x=512, modes_y=64)
     n0 = sweep.dyadic_range[0]
-
-    def one(n):
-        u0 = band_bump_field(grid, n, 2.0 * n, eta_sigma)
-        rec = linear_strichartz_ratio(params, spec, u0, T=T * n0 / n,
-                                      snapshots=snapshots,
-                                      extra_inputs={"band_n": n})
-        if comparator_shift == 0.0:
-            return rec
-        comp = rec.comparator * n ** comparator_shift
-        return make_record(rec.probe_name, rec.inputs, rec.measured, comp, rec.passed,
-                           note=f"comparator shifted by N^{comparator_shift}")
-
-    records = _run_points(one, sweep.dyadic_range, workers)
-    summary = _slope_summary("linear_strichartz", "band_n", sweep.dyadic_range,
-                             [r.ratio for r in records], sweep.tolerance_band,
-                             {"alpha": params.alpha, "q": spec.q, "r": spec.r})
-    return records + [summary]
+    return _sweep(
+        sweep, lambda n: linear_strichartz_ratio(
+            params, spec, band_bump_field(grid, n, 2.0 * n, eta_sigma),
+            T=T * n0 / n, snapshots=snapshots, extra_inputs={"band_n": n}),
+        "band_n", {"alpha": params.alpha, "q": spec.q, "r": spec.r}, workers,
+        comparator_shift)
 
 
 def lowfreq_l4_ratio(params, N, K, u0, T=1.0, snapshots=128, extra_inputs=None):
@@ -307,40 +317,23 @@ def lowfreq_l4_sweep(params, sweep, grid=None, T=1.0, snapshots=128,
         grid = FrequencyGrid(length_x=2.0 * math.pi * 128.0,
                              length_y=2.0 * math.pi * 8.0,
                              modes_x=512, modes_y=64)
-
-    def one(n):
-        u0 = band_bump_field(grid, n, 2.0 * n, eta_sigma)
-        rec = lowfreq_l4_ratio(params, n, n, u0, T=T, snapshots=snapshots)
-        if comparator_shift == 0.0:
-            return rec
-        comp = rec.comparator * n ** comparator_shift
-        return make_record(rec.probe_name, rec.inputs, rec.measured, comp, rec.passed,
-                           note=f"comparator shifted by N^{comparator_shift}")
-
-    records = _run_points(one, sweep.dyadic_range, workers)
-    summary = _slope_summary("lowfreq_l4", "N", sweep.dyadic_range,
-                             [r.ratio for r in records], sweep.tolerance_band,
-                             {"alpha": params.alpha})
-    return records + [summary]
+    return _sweep(
+        sweep, lambda n: lowfreq_l4_ratio(
+            params, n, n, band_bump_field(grid, n, 2.0 * n, eta_sigma), T=T,
+            snapshots=snapshots),
+        "N", {"alpha": params.alpha}, workers, comparator_shift)
 
 
 # ------------------------------------------------- bilinear (co-area) probe
 
 
-def exact_resonant_center(params, n_high, n_low, rng, stratum=None):
+def exact_resonant_center(params, n_high, n_low, rng):
     """One (p1, p2) pair on the resonant variety, p1 high band, p2 low.
 
     eta1 is the exact root of Omega = 0 given the other three coordinates,
-    so the center is resonant to rounding.  With stratum = (i, count) the
-    dominant variance driver (the xi1 position in its band) is drawn from
-    the i-th of count strata; the other coordinates stay independent, so
-    ensemble means are unbiased but much tamer at fixed trial budgets.
+    so the center is resonant to rounding.
     """
-    if stratum is None:
-        u1 = rng.random()
-    else:
-        i, count = stratum
-        u1 = (i + rng.random()) / count
+    u1 = rng.random()
     sign = 1.0 if rng.random() < 0.5 else -1.0
     return _resonant_center_from_uniforms(params, n_high, n_low, u1,
                                           rng.random(), rng.random(), sign)
@@ -442,7 +435,7 @@ def bilinear_ratio(params, n1, n2, trials=6, seed=0, resolution=(20, 64, 48),
     # stratified over the xi1 band, antithetic over the resonant branch sign
     pairs = [(p, s) for p in range((trials + 1) // 2) for s in (1.0, -1.0)]
     count = (trials + 1) // 2
-    for trial, (pair, sign) in enumerate(pairs[:trials]):
+    for pair, sign in pairs[:trials]:
         rng = np.random.default_rng([seed, int(round(math.log2(n1))) + 64,
                                      int(round(math.log2(n2))) + 64, pair])
         u1 = (pair + rng.random()) / count
@@ -474,20 +467,10 @@ def bilinear_ratio(params, n1, n2, trials=6, seed=0, resolution=(20, 64, 48),
 
 def bilinear_sweep(params, n2, sweep, workers=None, comparator_shift=0.0,
                    resolution=(20, 64, 48)):
-    def one(n1):
-        rec = bilinear_ratio(params, n1, n2, trials=sweep.trials_per_point,
-                             seed=sweep.seed, resolution=resolution)
-        if comparator_shift == 0.0:
-            return rec
-        comp = rec.comparator * n1 ** comparator_shift
-        return make_record(rec.probe_name, rec.inputs, rec.measured, comp, rec.passed,
-                           note=f"comparator shifted by N^{comparator_shift}")
-
-    records = _run_points(one, sweep.dyadic_range, workers)
-    summary = _slope_summary("bilinear", "n1", sweep.dyadic_range,
-                             [r.ratio for r in records], sweep.tolerance_band,
-                             {"alpha": params.alpha, "n2": n2})
-    return records + [summary]
+    return _sweep(
+        sweep, lambda n1: bilinear_ratio(params, n1, n2, trials=sweep.trials_per_point,
+                                         seed=sweep.seed, resolution=resolution),
+        "n1", {"alpha": params.alpha, "n2": n2}, workers, comparator_shift)
 
 
 # ------------------------------------------------ trilinear lattice probes
@@ -548,8 +531,10 @@ def trilinear_integral(f1, f2, f3):
     return float(np.sum(sub * f3.values[: clip[0], : clip[1], : clip[2]]))
 
 
-def _modulation_mask(params, shell_l, band_n, tau, xi, eta):
-    # dyadic modulation shell L/4 <= |tau - omega| <= 4L, band condition in xi
+def _modulation_mask(params, shell_l, band_n, offset, spacing, shape):
+    # dyadic modulation shell L/4 <= |tau - omega| <= 4L, band condition in xi,
+    # on the lattice offset + spacing * index
+    tau, xi, eta = (o + d * np.arange(n) for o, d, n in zip(offset, spacing, shape))
     om = omega_arrays(params.alpha, xi[:, None], eta[None, :])
     gap = np.abs(tau[:, None, None] - om[None, :, :])
     mask = (gap >= shell_l / 4.0) & (gap <= 4.0 * shell_l)
@@ -567,10 +552,7 @@ def _shell_lattice(params, center, band_n, shell_l, spacing, nodes, tau_shift, r
     off = (float(omega_arrays(params.alpha, xi_c, eta_c)) - 0.5 * ntau * dtau + tau_shift,
            xi_c - 0.5 * nxi * dxi,
            eta_c - 0.5 * neta * deta)
-    tau = off[0] + dtau * np.arange(ntau)
-    xi = off[1] + dxi * np.arange(nxi)
-    eta = off[2] + deta * np.arange(neta)
-    mask = _modulation_mask(params, shell_l, band_n, tau, xi, eta)
+    mask = _modulation_mask(params, shell_l, band_n, off, spacing, nodes)
     if not mask.any():
         need = math.ceil(10.0 * shell_l / dtau)
         raise ValueError(
@@ -614,10 +596,7 @@ def _trilinear_patch_run(params, p1, p2, bands, shells, nodes, rng,
     # f3 lives on the sum lattice, where a + b can actually land
     off3 = tuple(a + b for a, b in zip(f1.offset, f2.offset))
     shape3 = (nt1 + nt2 - 1, 2 * nodes[1] - 1, 2 * nodes[2] - 1)
-    tau = off3[0] + spacing[0] * np.arange(shape3[0])
-    xi = off3[1] + spacing[1] * np.arange(shape3[1])
-    eta = off3[2] + spacing[2] * np.arange(shape3[2])
-    mask = _modulation_mask(params, shells[2], bands[2], tau, xi, eta)
+    mask = _modulation_mask(params, shells[2], bands[2], off3, spacing, shape3)
     if not mask.any():
         raise ValueError(
             f"empty admissible support for the output factor: the shell "
@@ -680,35 +659,20 @@ def lw_modulation_sweep(params, n1, n2, sweep, workers=None, comparator_shift=0.
                         nodes=(16, 12, 12)):
     """Sweep L1 = L2 = L3 = L over sweep.dyadic_range at fixed bands."""
     scale = sweep.dyadic_range[0]
-
-    def one(l):
-        rec = lw_ratio(params, n1, n2, l, l, l, trials=sweep.trials_per_point,
-                       seed=sweep.seed, nodes=nodes, lattice_scale=scale,
-                       extra_inputs={"sweep_l": l})
-        if comparator_shift == 0.0:
-            return rec
-        comp = rec.comparator * l ** comparator_shift
-        return make_record(rec.probe_name, rec.inputs, rec.measured, comp, rec.passed,
-                           note=f"comparator shifted by L^{comparator_shift}")
-
-    records = _run_points(one, sweep.dyadic_range, workers)
-    summary = _slope_summary("lw", "modulation_l", sweep.dyadic_range,
-                             [r.ratio for r in records], sweep.tolerance_band,
-                             {"alpha": params.alpha, "n1": n1, "n2": n2})
-    return records + [summary]
+    return _sweep(
+        sweep, lambda l: lw_ratio(params, n1, n2, l, l, l, trials=sweep.trials_per_point,
+                                  seed=sweep.seed, nodes=nodes, lattice_scale=scale,
+                                  extra_inputs={"sweep_l": l}),
+        "modulation_l", {"alpha": params.alpha, "n1": n1, "n2": n2}, workers,
+        comparator_shift, "L")
 
 
 def lw_band_sweep(params, n2, sweep, l=1.0, workers=None, nodes=(16, 12, 12)):
     """Sweep the high band N1 at fixed modulation (the coarse-lattice check)."""
-    def one(n1):
-        return lw_ratio(params, n1, n2, l, l, l, trials=sweep.trials_per_point,
-                        seed=sweep.seed, nodes=nodes)
-
-    records = _run_points(one, sweep.dyadic_range, workers)
-    summary = _slope_summary("lw", "n1", sweep.dyadic_range,
-                             [r.ratio for r in records], sweep.tolerance_band,
-                             {"alpha": params.alpha, "n2": n2, "l": l})
-    return records + [summary]
+    return _sweep(
+        sweep, lambda n1: lw_ratio(params, n1, n2, l, l, l, trials=sweep.trials_per_point,
+                                   seed=sweep.seed, nodes=nodes),
+        "n1", {"alpha": params.alpha, "n2": n2, "l": l}, workers)
 
 
 def _nonresonant_centers(params, n1, n2, l3, rng, max_tries=64):
@@ -765,23 +729,13 @@ def nonresonant_modulation_sweep(params, n1, n2, sweep, l3=None, workers=None,
     if l3 is None:
         l3 = 4.0 * n1 * n2 ** params.alpha
     scale = sweep.dyadic_range[0]
-
-    def one(l1):
-        rec = nonresonant_ratio(params, n1, n2, l1, sweep.dyadic_range[0], l3,
-                                trials=sweep.trials_per_point, seed=sweep.seed,
-                                nodes=nodes, lattice_scale=scale,
-                                extra_inputs={"sweep_l1": l1})
-        if comparator_shift == 0.0:
-            return rec
-        comp = rec.comparator * l1 ** comparator_shift
-        return make_record(rec.probe_name, rec.inputs, rec.measured, comp, rec.passed,
-                           note=f"comparator shifted by L1^{comparator_shift}")
-
-    records = _run_points(one, sweep.dyadic_range, workers)
-    summary = _slope_summary("nonresonant", "l1", sweep.dyadic_range,
-                             [r.ratio for r in records], sweep.tolerance_band,
-                             {"alpha": params.alpha, "n1": n1, "n2": n2, "l3": l3})
-    return records + [summary]
+    return _sweep(
+        sweep, lambda l1: nonresonant_ratio(
+            params, n1, n2, l1, scale, l3, trials=sweep.trials_per_point,
+            seed=sweep.seed, nodes=nodes, lattice_scale=scale,
+            extra_inputs={"sweep_l1": l1}),
+        "l1", {"alpha": params.alpha, "n1": n1, "n2": n2, "l3": l3}, workers,
+        comparator_shift, "L1")
 
 
 # ------------------------------------------------------- scaling exponent

@@ -255,7 +255,6 @@ def sample_resonant_pairs(params, n_max, n_min, count, rng, c=0.1, max_rounds=64
     if c <= 0.0 or c >= 1.0:
         raise ValueError(f"resonant fraction c must lie in (0, 1), got {c}")
     alpha = params.alpha
-    out = [np.empty(0)] * 4
     got = 0
     chunks = []
     for _ in range(max_rounds):
@@ -308,15 +307,6 @@ class TransversalityReport:
     cross_ratio_max: float
     slope_gap_ratio_min: float
     slope_gap_ratio_max: float
-
-    def json_record(self):
-        return dict(
-            alpha=self.alpha, N_max=self.n_max, N_min=self.n_min, c=self.c,
-            samples=self.samples, seed=self.seed,
-            cross_ratio_min=self.cross_ratio_min, cross_ratio_max=self.cross_ratio_max,
-            slope_gap_ratio_min=self.slope_gap_ratio_min,
-            slope_gap_ratio_max=self.slope_gap_ratio_max,
-        )
 
 
 def transversality_check(params, n_max, n_min, samples=1000, seed=0, c=0.1):

@@ -352,3 +352,95 @@ class TestSweepCommands:
         rows = (out / "records.csv").read_text().splitlines()
         assert len(rows) == 3
         assert all(",true," in row for row in rows[1:])
+
+
+# Expected canonical outcome per SWEEPS row: --set overrides, exit status,
+# plot curve, its point count, and the slope record's probe name.
+SWEEP_RUNS = {
+    ("strichartz", "linear"): (
+        ["strichartz.kind=linear"], 0, "linear_strichartz_band_n", 5,
+        "linear_strichartz_slope"),
+    ("strichartz", "lowfreq"): (
+        ["strichartz.kind=lowfreq"], 0, "lowfreq_l4_N", 6, "lowfreq_l4_slope"),
+    ("bilinear", None): ([], 0, "bilinear_n1", 4, "bilinear_slope"),
+    ("trilinear", "lw_band"): (
+        ["trilinear.regime=lw_band"], 0, "lw_n1", 4, "lw_slope"),
+    ("trilinear", "lw_modulation"): (
+        ["trilinear.regime=lw_modulation"], 0, "lw_modulation_l", 4, "lw_slope"),
+    # the canonical n1 = 8, n2 = 2 violates the regime's n1 <= n2/4
+    ("trilinear", "nonresonant"): (
+        ["trilinear.regime=nonresonant", "trilinear.n1=1", "trilinear.n2=8"], 0,
+        "nonresonant_l1", 4, "nonresonant_slope"),
+}
+
+OTHER_PROBE_RUNS = {
+    "scaling": (0, "scaling_norm_lambda", 5, None),
+    "illposedness": (0, "illposedness_norm_N", 6, "illposedness_growth_slope"),
+    "resonance-scan": (2, None, 0, None),
+}
+
+
+def check_run_dir(out, curve, points, slope_probe):
+    plots = sorted(p.name for p in (out / "plotdata").iterdir())
+    if curve is None:
+        assert plots == []
+    else:
+        assert plots == [curve + ".dat"]
+        assert len((out / "plotdata" / plots[0]).read_text().splitlines()) == points
+    if slope_probe is None:
+        assert not (out / "slopes.json").exists()
+    else:
+        slopes = json.loads((out / "slopes.json").read_text())
+        assert [s["probe"] for s in slopes] == [slope_probe]
+
+
+class TestCanonicalProbeRuns:
+    def test_every_sweep_row_covered(self):
+        assert set(SWEEP_RUNS) == set(cli.SWEEPS)
+
+    @pytest.mark.parametrize("key", list(SWEEP_RUNS), ids=lambda k: f"{k[0]}-{k[1]}")
+    def test_sweep_row(self, tmp_path, key):
+        sets, code, curve, points, slope_probe = SWEEP_RUNS[key]
+        out = tmp_path / "out"
+        args = [a for s in sets for a in ("--set", s)]
+        assert run_cli(key[0], *args, "--output-dir", str(out)) == code
+        check_run_dir(out, curve, points, slope_probe)
+
+    @pytest.mark.parametrize("command", list(OTHER_PROBE_RUNS))
+    def test_other_probe_command(self, tmp_path, command):
+        code, curve, points, slope_probe = OTHER_PROBE_RUNS[command]
+        out = tmp_path / "out"
+        assert run_cli(command, "--output-dir", str(out)) == code
+        check_run_dir(out, curve, points, slope_probe)
+
+
+class TestWorkerInvariance:
+    @pytest.mark.parametrize("command, section", [
+        ("bilinear", {}),
+        ("trilinear", {"trilinear": {"regime": "lw_modulation"}}),
+        ("strichartz", {"strichartz": {"kind": "lowfreq"}}),
+    ], ids=["bilinear", "lw_modulation", "lowfreq"])
+    def test_records_identical_for_one_and_two_workers(self, tmp_path, command,
+                                                      section):
+        records = []
+        for workers in (1, 2):
+            out = tmp_path / f"workers{workers}"
+            config = parse_config(json.dumps(dict(
+                section, command=command, workers=workers, output_dir=str(out))))
+            assert cli.run(config) in (0, 2)
+            records.append((out / "records.csv").read_bytes())
+        assert records[0] == records[1]
+
+
+class TestMainConfigFile:
+    def test_malformed_json_reported_as_invalid_json(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text("{command: conserve}")
+        assert run_cli("conserve", "--config", str(path)) == 1
+        assert "error: config is not valid JSON: " in capsys.readouterr().err
+
+    def test_non_object_rejected(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        assert run_cli("conserve", "--config", str(path)) == 1
+        assert "config must be a JSON object" in capsys.readouterr().err

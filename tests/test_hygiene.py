@@ -1,0 +1,41 @@
+"""Source hygiene: no module of the package imports a name it never uses."""
+
+import ast
+import pathlib
+
+import pytest
+
+PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "fkpi_lab"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source):
+    """Names bound by module-level imports that the module never reads."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted((line, name) for name, line in bound.items() if name not in used)
+
+
+def test_modules_found():
+    assert {p.name for p in MODULES} >= {"cli.py", "evolution.py", "grid.py",
+                                         "norms.py", "probes.py", "symbols.py"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_module_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_detector_flags_unused_names():
+    source = ("from __future__ import annotations\n"
+              "import os\nimport numpy as np\nfrom . import grid as _grid\n"
+              "from .grid import a, b\n\nx = np.zeros(a)\n")
+    assert unused_imports(source) == [(2, "os"), (4, "_grid"), (5, "b")]
