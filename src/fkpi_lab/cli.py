@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .evolution import EvolutionConfig, solve
-from .grid import FrequencyGrid, SpectralField, save_field, to_spectral
+from .grid import FrequencyGrid, save_field, to_spectral
 from .norms import AnisoIndex, MixedNormSpec, energy_alpha, mass
 from .probes import (
     ProbeSweep,
@@ -352,7 +352,7 @@ def _smooth_data(grid, amplitude, l2_target, seed):
     if l2_target > 0.0:
         norm = math.sqrt(mass(u0))
         if norm > 0.0:
-            u0 = SpectralField(grid, u0.coeffs * (l2_target / norm), is_real=True)
+            u0 = u0 * (l2_target / norm)
     return u0
 
 

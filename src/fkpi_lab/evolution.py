@@ -29,6 +29,7 @@ from .grid import (
     save_field,
     to_physical,
     to_spectral,
+    trusted_field,
     x_derivative,
 )
 from .symbols import interaction_boxes, omega_arrays, resonance_arrays
@@ -120,7 +121,7 @@ def propagate_linear(params, field, t):
     """Apply the free group e^{i t omega}. Isometric on every multiplier norm."""
     require_zero_x_mean(field, "propagate_linear")
     om = _omega_grid(field.grid, params.alpha)
-    return field.with_coeffs(field.coeffs * np.exp(1j * t * om))
+    return trusted_field(field.grid, field.coeffs * np.exp(1j * t * om))
 
 
 def nonlinearity(params, field, dealias=True):
@@ -129,7 +130,7 @@ def nonlinearity(params, field, dealias=True):
         squared = dealiased_product(field, field)
     else:
         u = to_physical(field)
-        squared = to_spectral(u * np.asarray(u), field.grid, is_real=field.is_real)
+        squared = to_spectral(u * u, field.grid)
     return x_derivative(squared) * 0.5
 
 
@@ -173,17 +174,17 @@ def _etdrk4_tables(grid, alpha, dt):
 def _etdrk4_step(params, field, dt, dealias, nonlinear):
     e_full, e_half, q, f1, f2, f3 = _etdrk4_tables(field.grid, params.alpha, dt)
     if not nonlinear:
-        return field.with_coeffs(field.coeffs * e_full)
+        return trusted_field(field.grid, field.coeffs * e_full)
     u = field.coeffs
     n_u = nonlinearity(params, field, dealias).coeffs
     a = e_half * u + q * n_u
-    n_a = nonlinearity(params, field.with_coeffs(a), dealias).coeffs
+    n_a = nonlinearity(params, trusted_field(field.grid, a), dealias).coeffs
     b = e_half * u + q * n_a
-    n_b = nonlinearity(params, field.with_coeffs(b), dealias).coeffs
+    n_b = nonlinearity(params, trusted_field(field.grid, b), dealias).coeffs
     c = e_half * a + q * (2.0 * n_b - n_u)
-    n_c = nonlinearity(params, field.with_coeffs(c), dealias).coeffs
+    n_c = nonlinearity(params, trusted_field(field.grid, c), dealias).coeffs
     out = e_full * u + f1 * n_u + 2.0 * f2 * (n_a + n_b) + f3 * n_c
-    return field.with_coeffs(out)
+    return trusted_field(field.grid, out)
 
 
 def _strang_step(params, field, dt, dealias, nonlinear):
@@ -294,11 +295,11 @@ def picard_iterate(params, u0, k, T, dt):
     for _ in range(k):
         g = np.empty_like(v)
         for i in range(n + 1):
-            ui = u0.with_coeffs(v[i] * phases[i])
+            ui = trusted_field(u0.grid, v[i] * phases[i])
             g[i] = np.conj(phases[i]) * nonlinearity(params, ui).coeffs
         integrals = np.tensordot(w, g, axes=(1, 0))
         v = u0.coeffs[None, :, :] + integrals
-    return u0.with_coeffs(v[n] * phases[n])
+    return trusted_field(u0.grid, v[n] * phases[n])
 
 
 # ------------------------------------------- second iterate from box data

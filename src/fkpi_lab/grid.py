@@ -14,15 +14,16 @@ so that Parseval reads  integral |u|^2 dx dy = sum |coeffs|^2 / (Lx*Ly)
 and coefficient magnitudes of a fixed profile are independent of the box
 size.  Inversion uses the e^{+i(x xi + y eta)} convention.
 
-Real fields keep exact Hermitian symmetry coeffs(-k) = conj(coeffs(k));
-every operation re-symmetrizes, so the invariant never decays under
-round-off.  The Nyquist row/column is permanently zeroed (it cannot be
-assigned a symmetric partner on an even grid).
+Fields are real: coeffs(-k) = conj(coeffs(k)) is checked and folded to the
+last bit where data enters (SpectralField, to_spectral, load_field), and
+real transforms and exactly Hermitian multipliers keep it exact after.  The
+Nyquist row/column is zero (it has no symmetric partner on an even grid).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -118,40 +119,32 @@ def hermitian_defect(coeffs):
 
 @dataclass(frozen=True, eq=False)
 class SpectralField:
-    """A field held by its Fourier coefficients on a FrequencyGrid.
+    """A real field held by its Fourier coefficients on a FrequencyGrid.
 
-    ``is_real`` fields are kept exactly Hermitian: the constructor
-    rejects grossly asymmetric input and folds the remainder, so the
-    symmetry holds to the last bit afterwards.
+    The constructor rejects grossly asymmetric input and folds the
+    remainder, so Hermitian symmetry holds to the last bit afterwards.
     """
 
     grid: FrequencyGrid
     coeffs: np.ndarray
-    is_real: bool = True
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=np.complex128)
+        c = np.array(self.coeffs, dtype=np.complex128)
         shape = (self.grid.modes_x, self.grid.modes_y)
         if c.shape != shape:
             raise ValueError(f"coefficient shape {c.shape} does not match grid {shape}")
-        c = c.copy()
         c[self.grid.modes_x // 2, :] = 0.0
         c[:, self.grid.modes_y // 2] = 0.0
-        if self.is_real:
-            scale = max(1.0, float(np.max(np.abs(c))))
-            defect = hermitian_defect(c)
-            if defect > _SYMMETRY_RTOL * scale:
-                raise ValueError(
-                    f"coefficients violate Hermitian symmetry (defect {defect:.3e}) "
-                    "for a field declared real"
-                )
-            c = 0.5 * (c + np.conj(_reflect(c)))
+        scale = max(1.0, float(np.max(np.abs(c))))
+        defect = hermitian_defect(c)
+        if defect > _SYMMETRY_RTOL * scale:
+            raise ValueError(
+                f"coefficients violate Hermitian symmetry (defect {defect:.3e}) "
+                "for a field declared real"
+            )
+        c = 0.5 * (c + np.conj(_reflect(c)))
         c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
-
-    def with_coeffs(self, coeffs, is_real=None):
-        return SpectralField(self.grid, coeffs,
-                             self.is_real if is_real is None else is_real)
 
     def x_mean_residual(self):
         """Largest |coefficient| on the xi = 0 plane."""
@@ -159,20 +152,28 @@ class SpectralField:
 
     def __add__(self, other):
         _require_same_grid(self, other)
-        return SpectralField(self.grid, self.coeffs + other.coeffs,
-                             self.is_real and other.is_real)
+        return trusted_field(self.grid, self.coeffs + other.coeffs)
 
     def __sub__(self, other):
         _require_same_grid(self, other)
-        return SpectralField(self.grid, self.coeffs - other.coeffs,
-                             self.is_real and other.is_real)
+        return trusted_field(self.grid, self.coeffs - other.coeffs)
 
     def __mul__(self, scalar):
-        s = complex(scalar)
-        real = self.is_real and s.imag == 0.0
-        return SpectralField(self.grid, self.coeffs * scalar, real)
+        if not isinstance(scalar, numbers.Real):
+            raise TypeError(f"a real field scales by real numbers only, got {scalar!r}")
+        return trusted_field(self.grid, self.coeffs * scalar)
 
     __rmul__ = __mul__
+
+
+def trusted_field(grid, coeffs):
+    """Package-internal: SpectralField without the check and fold, for a fresh
+    complex128 array that is exactly Hermitian with zero Nyquist planes."""
+    field = object.__new__(SpectralField)
+    coeffs.flags.writeable = False
+    object.__setattr__(field, "grid", grid)
+    object.__setattr__(field, "coeffs", coeffs)
+    return field
 
 
 @dataclass(frozen=True)
@@ -214,31 +215,39 @@ def require_zero_x_mean(field, what="operation"):
 
 
 def to_physical(field):
-    """Point samples on the grid. Real ndarray for real fields."""
-    samples = np.fft.ifft2(field.coeffs) / field.grid.cell_area
-    if field.is_real:
-        return samples.real.copy()
-    return samples
+    """Point samples on the grid, a real ndarray."""
+    half = field.coeffs[:, : field.grid.modes_y // 2 + 1]
+    return np.fft.irfft2(half, s=field.coeffs.shape) / field.grid.cell_area
 
 
-def to_spectral(samples, grid, is_real=None):
-    """Transform point samples to a SpectralField (left inverse of to_physical)."""
+def _full_spectrum(half, grid):
+    """Exactly Hermitian spectrum, Nyquist column zero, from an rfft2 half."""
+    c = np.zeros((grid.modes_x, grid.modes_y), dtype=np.complex128)
+    c[:, : grid.modes_y // 2] = half[:, : grid.modes_y // 2]
+    # the conjugate mirror fills eta < 0; halved, it folds the eta = 0 column,
+    # which rfft2 transforms by a complex FFT along x, to exact symmetry
+    c += np.conj(_reflect(c))
+    c[:, 0] *= 0.5
+    return c
+
+
+def to_spectral(samples, grid):
+    """Transform real point samples to a SpectralField (left inverse of to_physical)."""
     samples = np.asarray(samples)
     shape = (grid.modes_x, grid.modes_y)
     if samples.shape != shape:
         raise ValueError(f"sample array shape {samples.shape} does not match grid {shape}")
-    if is_real is None:
-        is_real = np.isrealobj(samples)
-    coeffs = np.fft.fft2(samples) * grid.cell_area
-    return SpectralField(grid, coeffs, is_real)
+    if np.iscomplexobj(samples):
+        raise ValueError("samples must be real: fields are real")
+    return SpectralField(grid, _full_spectrum(np.fft.rfft2(samples) * grid.cell_area, grid))
 
 
 def x_derivative(field):
-    return field.with_coeffs(field.coeffs * (1j * field.grid.xi_grid))
+    return trusted_field(field.grid, field.coeffs * (1j * field.grid.xi_grid))
 
 
 def y_derivative(field):
-    return field.with_coeffs(field.coeffs * (1j * field.grid.eta_grid))
+    return trusted_field(field.grid, field.coeffs * (1j * field.grid.eta_grid))
 
 
 def x_antiderivative(field):
@@ -247,19 +256,19 @@ def x_antiderivative(field):
     xi = field.grid.xi_grid
     with np.errstate(divide="ignore", invalid="ignore"):
         mult = np.where(xi != 0.0, 1.0 / (1j * xi), 0.0)
-    return field.with_coeffs(field.coeffs * mult)
+    return trusted_field(field.grid, field.coeffs * mult)
 
 
 def fractional_x_derivative(field, s):
     """|D_x|^s: multiply coefficients by |xi|^s. Negative s needs zero x-mean."""
     if s == 0:
-        return field.with_coeffs(field.coeffs)
+        return field
     if s < 0:
         require_zero_x_mean(field, f"fractional_x_derivative(s={s})")
     xi = field.grid.xi_grid
     with np.errstate(divide="ignore"):
         mult = np.where(xi != 0.0, np.abs(xi) ** float(s), 0.0)
-    return field.with_coeffs(field.coeffs * mult)
+    return trusted_field(field.grid, field.coeffs * mult)
 
 
 def project_dyadic(field, band):
@@ -267,7 +276,7 @@ def project_dyadic(field, band):
     n = band.value if isinstance(band, DyadicBand) else DyadicBand(band).value
     a = np.abs(field.grid.xi_grid)
     mask = (a > n / 2.0) & (a <= n)
-    return field.with_coeffs(field.coeffs * mask.astype(float))
+    return trusted_field(field.grid, field.coeffs * mask.astype(float))
 
 
 def dealiased_product(f, g):
@@ -280,11 +289,12 @@ def dealiased_product(f, g):
     _require_same_grid(f, g)
     grid = f.grid
     mask = grid.dealias_mask
-    fa = np.fft.ifft2(f.coeffs * mask)
-    ga = np.fft.ifft2(g.coeffs * mask)
+    h = grid.modes_y // 2 + 1
+    fa = np.fft.irfft2(f.coeffs[:, :h] * mask[:, :h], s=mask.shape)
+    ga = fa if g is f else np.fft.irfft2(g.coeffs[:, :h] * mask[:, :h], s=mask.shape)
     # fa, ga are cell_area * samples; one net 1/cell_area restores the convention
-    coeffs = np.fft.fft2(fa * ga) / grid.cell_area * mask
-    return SpectralField(grid, coeffs, f.is_real and g.is_real)
+    coeffs = _full_spectrum(np.fft.rfft2(fa * ga), grid) / grid.cell_area * mask
+    return trusted_field(grid, coeffs)
 
 
 def save_field(field, path):
@@ -313,6 +323,4 @@ def load_field(path):
     grid = FrequencyGrid(lx, ly, int(mx), int(my))
     count = int(mx) * int(my)
     coeffs = np.frombuffer(blob, dtype="<c16", count=count, offset=off)
-    coeffs = coeffs.reshape(int(mx), int(my)).copy()
-    is_real = hermitian_defect(coeffs) == 0.0
-    return SpectralField(grid, coeffs, is_real)
+    return SpectralField(grid, coeffs.reshape(int(mx), int(my)))

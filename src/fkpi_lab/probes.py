@@ -30,11 +30,10 @@ from .evolution import box_data_norms, propagate_linear, second_iterate_boxdata
 from .grid import (
     FrequencyGrid,
     SpectralField,
-    _reflect,
     fractional_x_derivative,
 )
 from .norms import AnisoIndex, MixedNormSpec, mass, spacetime_norm
-from .symbols import omega_arrays, resonance_difference_arrays
+from .symbols import omega1_arrays, omega_arrays, resonance_difference_arrays
 
 RATIO_TOL = 1e-9
 
@@ -219,15 +218,13 @@ def band_bump_field(grid, xi_lo, xi_hi, eta_sigma, xi_sigma=None):
     """
     if not (0.0 < xi_lo < xi_hi):
         raise ValueError("band must satisfy 0 < xi_lo < xi_hi")
-    xi = grid.xi_grid
+    xi = np.abs(grid.xi_grid)
     eta = grid.eta_grid
     center = 0.5 * (xi_lo + xi_hi)
     sigma = xi_sigma if xi_sigma is not None else 0.25 * (xi_hi - xi_lo)
     bump = np.exp(-0.5 * ((xi - center) / sigma) ** 2 - 0.5 * (eta / eta_sigma) ** 2)
     bump *= (xi >= xi_lo) & (xi <= xi_hi)
-    coeffs = bump.astype(complex)
-    coeffs = coeffs + np.conj(_reflect(coeffs))
-    return SpectralField(grid, coeffs, is_real=True)
+    return SpectralField(grid, bump)
 
 
 def _linear_trajectory(params, u0, T, snapshots):
@@ -344,9 +341,8 @@ def _resonant_center_from_uniforms(params, n_high, n_low, u1, u2, u3, sign):
     xi1 = n_high * (1.0 + u1)
     xi2 = n_low * (1.0 + u3)
     eta2 = (u2 - 0.5) * n_high ** (alpha / 2.0)
-    s = xi1 + xi2
-    om1 = abs(s) ** alpha * s - abs(xi1) ** alpha * xi1 - abs(xi2) ** alpha * xi2
-    d = xi1 * xi2 * s
+    om1 = omega1_arrays(alpha, xi1, xi2)
+    d = xi1 * xi2 * (xi1 + xi2)
     cross = math.sqrt(om1 * d) * sign
     eta1 = (cross + eta2 * xi1) / xi2
     return (xi1, eta1), (xi2, eta2)

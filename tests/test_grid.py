@@ -1,4 +1,6 @@
 import math
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +19,7 @@ def random_real_field(grid, seed=0, zero_x_mean=False):
     if zero_x_mean:
         c = f.coeffs.copy()
         c[0, :] = 0.0
-        f = f.with_coeffs(c)
+        f = G.SpectralField(grid, c)
     return f
 
 
@@ -47,7 +49,7 @@ class TestSpectralField:
     def test_nyquist_always_zero(self):
         g = small_grid(16)
         c = np.ones((16, 16), dtype=complex)
-        f = G.SpectralField(g, c, is_real=False)
+        f = G.SpectralField(g, c)
         assert np.all(f.coeffs[8, :] == 0.0)
         assert np.all(f.coeffs[:, 8] == 0.0)
 
@@ -61,11 +63,18 @@ class TestSpectralField:
         c = np.zeros((16, 16), dtype=complex)
         c[1, 2] = 1.0  # no conjugate partner
         with pytest.raises(ValueError):
-            G.SpectralField(g, c, is_real=True)
+            G.SpectralField(g, c)
 
     def test_symmetrization_is_exact(self):
         f = random_real_field(small_grid(), seed=3)
         assert G.hermitian_defect(f.coeffs) == 0.0
+
+    def test_complex_scalar_rejected(self):
+        f = random_real_field(small_grid(16), seed=4)
+        with pytest.raises(TypeError, match="real"):
+            f * 1j
+        with pytest.raises(TypeError, match="real"):
+            np.complex128(2.0) * f
 
     def test_coeffs_immutable(self):
         f = random_real_field(small_grid(), seed=4)
@@ -86,6 +95,10 @@ class TestTransforms:
         rest = f.coeffs.copy()
         rest[0, 0] = 0.0
         assert np.max(np.abs(rest)) < 1e-12
+
+    def test_complex_samples_rejected(self):
+        with pytest.raises(ValueError, match="real"):
+            G.to_spectral(np.ones((16, 16), dtype=complex), small_grid(16))
 
     def test_sample_shape_rejected(self):
         with pytest.raises(ValueError):
@@ -145,8 +158,8 @@ class TestDerivatives:
     def test_antiderivative_unit_mode(self):
         g = small_grid(16)
         c = np.zeros((16, 16), dtype=complex)
-        c[1, 3] = 1.0
-        anti = G.x_antiderivative(G.SpectralField(g, c, is_real=False))
+        c[1, 3] = c[-1, -3] = 1.0
+        anti = G.x_antiderivative(G.SpectralField(g, c))
         expect = g.length_x / (2j * math.pi)
         assert abs(anti.coeffs[1, 3] - expect) < 1e-14
 
@@ -258,12 +271,19 @@ class TestProduct:
         out /= vol
         assert np.max(np.abs(out - prod.coeffs)) < 1e-10 * max(1.0, np.max(np.abs(out)))
 
+    def test_square_matches_product_of_equal_fields(self):
+        # the one-transform path for g is f gives the two-transform result bit for bit
+        f = random_real_field(small_grid(16), seed=16)
+        twin = G.SpectralField(f.grid, f.coeffs)
+        assert twin is not f
+        assert np.array_equal(G.dealiased_product(f, f).coeffs,
+                              G.dealiased_product(f, twin).coeffs)
+
     def test_real_output_and_symmetry(self):
         g = small_grid(16)
         f = random_real_field(g, seed=14)
         h = random_real_field(g, seed=15)
         p = G.dealiased_product(f, h)
-        assert p.is_real
         assert G.hermitian_defect(p.coeffs) == 0.0
         assert np.max(np.abs(np.imag(np.fft.ifft2(p.coeffs)))) < 1e-12
 
@@ -291,7 +311,6 @@ class TestAlgebraicInvariants:
         f = random_real_field(small_grid(16), seed=21, zero_x_mean=True)
         for name, op in self.ops():
             out = op(f)
-            assert out.is_real, name
             assert G.hermitian_defect(out.coeffs) == 0.0, name
             assert out.x_mean_residual() == 0.0, name
 
@@ -303,19 +322,17 @@ class TestSerialization:
         G.save_field(f, path)
         f2 = G.load_field(path)
         assert f2.grid == f.grid
-        assert f2.is_real == f.is_real
         assert np.array_equal(f2.coeffs, f.coeffs)
 
-    def test_complex_field_round_trip(self, tmp_path):
-        g = small_grid(16)
-        c = np.zeros((16, 16), dtype=complex)
+    def test_unpaired_coefficient_rejected(self, tmp_path):
+        # a hand-written file: header, then one coefficient without its partner
+        c = np.zeros((16, 16), dtype="<c16")
         c[2, 5] = 1.0 + 2.0j
-        f = G.SpectralField(g, c, is_real=False)
         path = tmp_path / "c.fkpi"
-        G.save_field(f, path)
-        f2 = G.load_field(path)
-        assert not f2.is_real
-        assert np.array_equal(f2.coeffs, f.coeffs)
+        path.write_bytes(b"FKPI1" + struct.pack("<ddqq", 2 * math.pi, 2 * math.pi, 16, 16)
+                         + c.tobytes())
+        with pytest.raises(ValueError, match="Hermitian symmetry"):
+            G.load_field(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.fkpi"
@@ -330,8 +347,6 @@ class TestSerialization:
         G.save_field(f, path)
         blob = path.read_bytes()
         assert blob[:5] == b"FKPI1"
-        import struct
-
         lx, ly, mx, my = struct.unpack_from("<ddqq", blob, 5)
         assert (lx, ly, mx, my) == (f.grid.length_x, f.grid.length_y, 16, 16)
         assert len(blob) == 5 + 32 + 16 * 16 * 16

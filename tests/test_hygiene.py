@@ -1,4 +1,5 @@
-"""Source hygiene: no module of the package imports a name it never uses."""
+"""Source hygiene: no module of the package imports a name it never uses,
+or another module's private (underscore-prefixed) name."""
 
 import ast
 import pathlib
@@ -32,6 +33,28 @@ def test_modules_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def private_imports(source):
+    """Single-underscore names a module imports from a sibling module."""
+    tree = ast.parse(source)
+    return sorted((node.lineno, alias.name) for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and node.level > 0
+                  for alias in node.names
+                  if alias.name.startswith("_") and not alias.name.startswith("__"))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_cross_module_imports(path):
+    assert private_imports(path.read_text()) == []
+
+
+def test_detector_flags_private_names():
+    source = ("from __future__ import annotations\n"
+              "from . import __version__\n"
+              "from .grid import _reflect, to_physical\n"
+              "from numpy import _core\n")
+    assert private_imports(source) == [(3, "_reflect")]
 
 
 def test_detector_flags_unused_names():

@@ -5,7 +5,7 @@ import pytest
 
 from fkpi_lab import norms as nm
 from fkpi_lab.evolution import EvolutionConfig, propagate_linear, solve
-from fkpi_lab.grid import FrequencyGrid, SpectralField, to_spectral
+from fkpi_lab.grid import FrequencyGrid, SpectralField, to_physical, to_spectral
 from fkpi_lab.symbols import DispersionParams
 
 TWO_PI = 2.0 * np.pi
@@ -61,7 +61,8 @@ class TestMass:
             for j in range(-2, 3)
         )
         u = to_spectral(samples, g)
-        assert nm.mass(u) == pytest.approx(nm.mass_spectral(u), rel=1e-12)
+        quadrature = float(np.sum(to_physical(u) ** 2) * g.cell_area)
+        assert nm.mass(u) == pytest.approx(quadrature, rel=1e-12)
 
 
 class TestEnergy:

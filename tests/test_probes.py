@@ -444,7 +444,7 @@ class TestLinearStrichartz:
     def test_amplitude_homogeneity(self):
         g = small_grid()
         u0 = smooth_field(g)
-        u2 = SpectralField(g, 2.7 * u0.coeffs, is_real=True)
+        u2 = SpectralField(g, 2.7 * u0.coeffs)
         spec = MixedNormSpec(4.0, 4.0)
         r1 = pr.linear_strichartz_ratio(P3, spec, u0, T=0.5, snapshots=8)
         r2 = pr.linear_strichartz_ratio(P3, spec, u2, T=0.5, snapshots=8)
