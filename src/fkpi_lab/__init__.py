@@ -12,7 +12,6 @@ the second Picard iterate.
 __version__ = "0.1.0"
 
 from .grid import (
-    DyadicBand,
     FrequencyGrid,
     SpectralField,
     dealiased_product,
@@ -28,8 +27,6 @@ from .grid import (
 )
 from .symbols import (
     DispersionParams,
-    FreqPair,
-    FreqPoint,
     resonance_size_scan,
     transversality_check,
 )
@@ -45,7 +42,6 @@ from .evolution import (
     BlowupError,
     EvolutionConfig,
     Trajectory,
-    export_trajectory,
     propagate_linear,
     second_iterate_boxdata,
     solve,
@@ -72,11 +68,8 @@ __all__ = [
     "AnisoIndex",
     "BlowupError",
     "DispersionParams",
-    "DyadicBand",
     "EvolutionConfig",
     "ExperimentRecord",
-    "FreqPair",
-    "FreqPoint",
     "FrequencyGrid",
     "MixedNormSpec",
     "ProbeSweep",
@@ -85,7 +78,6 @@ __all__ = [
     "bilinear_sweep",
     "dealiased_product",
     "energy_alpha",
-    "export_trajectory",
     "fractional_x_derivative",
     "illposedness_growth_study",
     "linear_strichartz_sweep",

@@ -14,24 +14,14 @@ preserves that exactly since it is a total x-derivative.
 
 from __future__ import annotations
 
-import json
 import math
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .grid import (
-    dealiased_product,
-    require_zero_x_mean,
-    save_field,
-    to_physical,
-    to_spectral,
-    trusted_field,
-    x_derivative,
-)
+from .grid import dealiased_product, require_zero_x_mean, trusted_field, x_derivative
 from .symbols import interaction_boxes, omega_arrays, resonance_arrays
 
 SCHEMES = ("etdrk4", "strang")
@@ -47,28 +37,10 @@ class BlowupError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class FreqBoxSpec:
-    """A rectangle [a,b] x [c,d] in frequency space, optionally mirrored."""
-
-    xi_range: tuple
-    eta_range: tuple
-    mirrored: bool = True
-
-    def __post_init__(self):
-        a, b = self.xi_range
-        c, d = self.eta_range
-        if not (0.0 < a < b):
-            raise ValueError(f"xi_range must satisfy 0 < a < b, got [{a}, {b}]")
-        if not (c < d):
-            raise ValueError(f"eta_range must be nonempty, got [{c}, {d}]")
-
-
-@dataclass(frozen=True)
 class EvolutionConfig:
     dt: float
     T: float
     scheme: str = "etdrk4"
-    dealias: bool = True
     snapshot_stride: int = 1
 
     def __post_init__(self):
@@ -124,14 +96,9 @@ def propagate_linear(params, field, t):
     return trusted_field(field.grid, field.coeffs * np.exp(1j * t * om))
 
 
-def nonlinearity(params, field, dealias=True):
-    """N(u) = 1/2 d/dx (u^2), dealiased by default. Exactly zero x-mean."""
-    if dealias:
-        squared = dealiased_product(field, field)
-    else:
-        u = to_physical(field)
-        squared = to_spectral(u * u, field.grid)
-    return x_derivative(squared) * 0.5
+def nonlinearity(params, field):
+    """N(u) = 1/2 d/dx (u^2), 2/3-rule dealiased. Exactly zero x-mean."""
+    return x_derivative(dealiased_product(field, field)) * 0.5
 
 
 def _phi(z, k):
@@ -171,29 +138,29 @@ def _etdrk4_tables(grid, alpha, dt):
         t.flags.writeable = False
     return tables
 
-def _etdrk4_step(params, field, dt, dealias, nonlinear):
+def _etdrk4_step(params, field, dt, nonlinear):
     e_full, e_half, q, f1, f2, f3 = _etdrk4_tables(field.grid, params.alpha, dt)
     if not nonlinear:
         return trusted_field(field.grid, field.coeffs * e_full)
     u = field.coeffs
-    n_u = nonlinearity(params, field, dealias).coeffs
+    n_u = nonlinearity(params, field).coeffs
     a = e_half * u + q * n_u
-    n_a = nonlinearity(params, trusted_field(field.grid, a), dealias).coeffs
+    n_a = nonlinearity(params, trusted_field(field.grid, a)).coeffs
     b = e_half * u + q * n_a
-    n_b = nonlinearity(params, trusted_field(field.grid, b), dealias).coeffs
+    n_b = nonlinearity(params, trusted_field(field.grid, b)).coeffs
     c = e_half * a + q * (2.0 * n_b - n_u)
-    n_c = nonlinearity(params, trusted_field(field.grid, c), dealias).coeffs
+    n_c = nonlinearity(params, trusted_field(field.grid, c)).coeffs
     out = e_full * u + f1 * n_u + 2.0 * f2 * (n_a + n_b) + f3 * n_c
     return trusted_field(field.grid, out)
 
 
-def _strang_step(params, field, dt, dealias, nonlinear):
+def _strang_step(params, field, dt, nonlinear):
     half = propagate_linear(params, field, dt / 2.0)
     if nonlinear:
         # explicit midpoint for the Burgers substep
-        k1 = nonlinearity(params, half, dealias)
+        k1 = nonlinearity(params, half)
         mid = half + (dt / 2.0) * k1
-        k2 = nonlinearity(params, mid, dealias)
+        k2 = nonlinearity(params, mid)
         half = half + dt * k2
     return propagate_linear(params, half, dt / 2.0)
 
@@ -202,8 +169,8 @@ def step(params, field, config, nonlinear=True):
     """Advance one time step of config.dt with config.scheme."""
     require_zero_x_mean(field, "time step")
     if config.scheme == "etdrk4":
-        return _etdrk4_step(params, field, config.dt, config.dealias, nonlinear)
-    return _strang_step(params, field, config.dt, config.dealias, nonlinear)
+        return _etdrk4_step(params, field, config.dt, nonlinear)
+    return _strang_step(params, field, config.dt, nonlinear)
 
 
 def solve(params, u0, config, nonlinear=True):
@@ -225,26 +192,6 @@ def solve(params, u0, config, nonlinear=True):
             times.append(i * config.dt)
             fields.append(u)
     return Trajectory(alpha=params.alpha, config=config, times=times, fields=fields)
-
-
-def export_trajectory(traj, dirpath):
-    """Write snapshots as binary fields plus a JSON manifest."""
-    os.makedirs(dirpath, exist_ok=True)
-    names = []
-    for i, f in enumerate(traj.fields):
-        name = f"snap_{i:04d}.fkpi"
-        save_field(f, os.path.join(dirpath, name))
-        names.append(name)
-    manifest = {
-        "alpha": traj.alpha,
-        "dt": traj.config.dt,
-        "T": traj.config.T,
-        "scheme": traj.config.scheme,
-        "snapshots": traj.times,
-        "files": names,
-    }
-    with open(os.path.join(dirpath, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
 
 
 # ------------------------------------------------------------------- Picard
@@ -315,15 +262,6 @@ def _phi_window(z):
     zb = z[~small]
     out[~small] = (np.exp(-1j * zb) - 1.0) / zb
     return out
-
-
-def illposedness_boxes(params, N, gamma):
-    """FreqBoxSpec pair (D1, D2) for the growth data at scale (N, gamma)."""
-    (x1, e1), (x2, e2) = interaction_boxes(params.alpha, N, gamma)
-    return (
-        FreqBoxSpec(xi_range=x1, eta_range=e1, mirrored=True),
-        FreqBoxSpec(xi_range=x2, eta_range=e2, mirrored=True),
-    )
 
 
 def box_data_norms(params, N, gamma, sbar):

@@ -146,10 +146,6 @@ class SpectralField:
         c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
 
-    def x_mean_residual(self):
-        """Largest |coefficient| on the xi = 0 plane."""
-        return float(np.max(np.abs(self.coeffs[0, :])))
-
     def __add__(self, other):
         _require_same_grid(self, other)
         return trusted_field(self.grid, self.coeffs + other.coeffs)
@@ -174,23 +170,6 @@ def trusted_field(grid, coeffs):
     object.__setattr__(field, "grid", grid)
     object.__setattr__(field, "coeffs", coeffs)
     return field
-
-
-@dataclass(frozen=True)
-class DyadicBand:
-    """A dyadic frequency magnitude N (a power of two, possibly < 1)."""
-
-    value: float
-
-    def __post_init__(self):
-        mantissa, _ = math.frexp(self.value)
-        if self.value <= 0.0 or mantissa != 0.5:
-            raise ValueError(f"dyadic band requires a positive power of two, got {self.value}")
-
-    def contains(self, xi):
-        """Wide-band membership N/8 <= |xi| <= 8N."""
-        a = np.abs(xi)
-        return (a >= self.value / 8.0) & (a <= 8.0 * self.value)
 
 
 def _require_same_grid(f, g):
@@ -271,9 +250,17 @@ def fractional_x_derivative(field, s):
     return trusted_field(field.grid, field.coeffs * mult)
 
 
-def project_dyadic(field, band):
-    """Sharp Littlewood-Paley piece: keep N/2 < |xi| <= N."""
-    n = band.value if isinstance(band, DyadicBand) else DyadicBand(band).value
+def is_dyadic(value):
+    """True for a positive, finite power of two (possibly below 1)."""
+    if value <= 0.0 or not math.isfinite(value):
+        return False
+    return math.frexp(value)[0] == 0.5
+
+
+def project_dyadic(field, n):
+    """Sharp Littlewood-Paley piece: keep n/2 < |xi| <= n, n a power of two."""
+    if not is_dyadic(n):
+        raise ValueError(f"dyadic band requires a positive power of two, got {n}")
     a = np.abs(field.grid.xi_grid)
     mask = (a > n / 2.0) & (a <= n)
     return trusted_field(field.grid, field.coeffs * mask.astype(float))

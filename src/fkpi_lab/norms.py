@@ -2,8 +2,7 @@
 
 All spectral sums follow the grid convention: integral |u|^2 dx dy equals
 sum |coeffs|^2 / (Lx*Ly).  The anisotropic Sobolev scale carries separate
-orders (s1, s2) in xi and eta; the energy space carries the weight
-1 + |xi|^{alpha/2} + |eta|/|xi| natural to the Hamiltonian.
+orders (s1, s2) in xi and eta.
 """
 
 from __future__ import annotations
@@ -113,18 +112,6 @@ def sobolev_aniso(field, idx, homogeneous=False):
         wx = np.where(xi != 0.0, np.abs(xi) ** idx.s1, 0.0 if idx.s1 != 0 else 1.0)
         wy = np.where(eta != 0.0, np.abs(eta) ** idx.s2, 0.0 if idx.s2 != 0 else 1.0)
     return math.sqrt(float(np.sum((wx * wy) ** 2 * c2)) / _vol(grid))
-
-
-def energy_space_norm(params, field):
-    """Norm with multiplier p = 1 + |xi|^{alpha/2} + |eta|/|xi|."""
-    _check_eta_column(field, "energy_space_norm")
-    grid = field.grid
-    xi, eta = grid.xi_grid, grid.eta_grid
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(xi != 0.0, np.abs(eta) / np.where(xi != 0.0, np.abs(xi), 1.0), 0.0)
-    p = 1.0 + np.abs(xi) ** (params.alpha / 2.0) + ratio
-    c2 = np.abs(field.coeffs) ** 2
-    return math.sqrt(float(np.sum(p * p * c2)) / _vol(grid))
 
 
 def _lr_norm(field, r):

@@ -27,22 +27,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .evolution import box_data_norms, propagate_linear, second_iterate_boxdata
-from .grid import (
-    FrequencyGrid,
-    SpectralField,
-    fractional_x_derivative,
-)
+from .grid import FrequencyGrid, SpectralField, fractional_x_derivative, is_dyadic
 from .norms import AnisoIndex, MixedNormSpec, mass, spacetime_norm
 from .symbols import omega1_arrays, omega_arrays, resonance_difference_arrays
 
 RATIO_TOL = 1e-9
-
-
-def _is_dyadic(value):
-    if value <= 0.0 or not math.isfinite(value):
-        return False
-    mantissa, _ = math.frexp(value)
-    return mantissa == 0.5
 
 
 @dataclass(frozen=True)
@@ -90,7 +79,7 @@ class ProbeSweep:
         vals = tuple(float(v) for v in self.dyadic_range)
         if not vals:
             raise ValueError("dyadic_range must be nonempty")
-        if any(not _is_dyadic(v) for v in vals):
+        if any(not is_dyadic(v) for v in vals):
             raise ValueError(f"dyadic_range must hold powers of two, got {vals}")
         if list(vals) != sorted(vals):
             raise ValueError("dyadic_range must be ascending")
@@ -108,8 +97,9 @@ def fit_loglog_slope(xs, ys):
     ys = np.asarray(ys, dtype=float)
     if xs.size < 4:
         raise ValueError("slope fit needs at least 4 sweep points")
-    if np.any(xs <= 0.0) or np.any(ys <= 0.0):
-        raise ValueError("slope fit needs positive data")
+    data = np.concatenate([xs, ys])
+    if not np.all((data > 0.0) & np.isfinite(data)):
+        raise ValueError("slope fit needs positive finite data")
     return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
 
 
@@ -282,9 +272,9 @@ def lowfreq_l4_ratio(params, N, K, u0, T=1.0, snapshots=128, extra_inputs=None):
     comparator = K^{1/4} N^{1/8} ||u0||; the support must lie in
     {N <= |xi| <= N + K} exactly (relative leakage below 1e-9).
     """
-    if not _is_dyadic(N) or N >= 1.0:
+    if not is_dyadic(N) or N >= 1.0:
         raise ValueError(f"N must be dyadic and < 1, got {N}")
-    if not _is_dyadic(K):
+    if not is_dyadic(K):
         raise ValueError(f"K must be dyadic, got {K}")
     axi = np.abs(u0.grid.xi_grid)
     power = np.abs(u0.coeffs) ** 2
@@ -418,7 +408,7 @@ def bilinear_ratio(params, n1, n2, trials=6, seed=0, resolution=(20, 64, 48),
     (height n2 n1^{alpha/2}), which is what saturates the bound.
     comparator = n2^{1/2} n1^{-alpha/4}.
     """
-    if not (_is_dyadic(n1) and _is_dyadic(n2)):
+    if not (is_dyadic(n1) and is_dyadic(n2)):
         raise ValueError("n1, n2 must be dyadic")
     if n1 < 4.0 * n2:
         raise ValueError(f"need n1 >> n2 (at least 4x), got {n1}, {n2}")
@@ -616,7 +606,7 @@ def lw_ratio(params, n1, n2, l1, l2, l3, trials=4, seed=0, nodes=(16, 12, 12),
     A collinear center pair (eta1 xi2 = eta2 xi1) voids the transversality
     hypothesis: the record is flagged outside-hypothesis, not passed.
     """
-    if not (_is_dyadic(n1) and _is_dyadic(n2)) or n2 > n1:
+    if not (is_dyadic(n1) and is_dyadic(n2)) or n2 > n1:
         raise ValueError("need dyadic n2 <= n1")
     alpha = params.alpha
     if max(l1, l2, l3) > n1 ** alpha * n2 / 8.0:
@@ -692,7 +682,7 @@ def nonresonant_ratio(params, n1, n2, l1, l2, l3, trials=4, seed=0,
 
     comparator = (L1 L2 L3)^{1/2} / Lmax^{1/4} * N2^{-alpha/2} N1^{1/4}.
     """
-    if not (_is_dyadic(n1) and _is_dyadic(n2)) or n1 > n2 / 4.0:
+    if not (is_dyadic(n1) and is_dyadic(n2)) or n1 > n2 / 4.0:
         raise ValueError("need dyadic n1 << n2 (at least 4x)")
     alpha = params.alpha
     lmax = max(l1, l2, l3)
@@ -821,7 +811,7 @@ def illposedness_growth_study(params, theta, n_list, sbar=None, t=1.0, quad_res=
     ns = [float(n) for n in n_list]
     if len(ns) < 5:
         raise ValueError("need at least 5 dyadic N values")
-    if any(not _is_dyadic(n) for n in ns) or ns != sorted(ns):
+    if any(not is_dyadic(n) for n in ns) or ns != sorted(ns):
         raise ValueError("n_list must be ascending powers of two")
     if sbar is None:
         sbar = AnisoIndex(0.0, 0.0)

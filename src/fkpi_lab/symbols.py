@@ -6,8 +6,8 @@ geometry for the fractional KP-I symbol
 Everything here is closed-form; the module exists so the formulas live in
 one place and so the two independent routes to each quantity (a direct
 formula and an algebraically rearranged one) can be cross-checked against
-each other.  Scalar wrappers operate on FreqPoint/FreqPair; *_arrays
-variants take plain ndarrays and vectorize over samples.
+each other.  The *_arrays functions take plain ndarrays or floats and
+vectorize over samples.
 """
 
 from __future__ import annotations
@@ -36,26 +36,6 @@ class DispersionParams:
     def __post_init__(self):
         if not (2.0 <= self.alpha < 4.0):
             raise ValueError(f"alpha must lie in [2, 4), got {self.alpha}")
-
-
-@dataclass(frozen=True)
-class FreqPoint:
-    xi: float
-    eta: float = 0.0
-
-    def __post_init__(self):
-        if self.xi == 0.0:
-            raise ValueError("xi must be nonzero (symbol singular at xi = 0)")
-
-
-@dataclass(frozen=True)
-class FreqPair:
-    p1: FreqPoint
-    p2: FreqPoint
-
-    def __post_init__(self):
-        if self.p1.xi + self.p2.xi == 0.0:
-            raise ValueError("xi1 + xi2 must be nonzero")
 
 
 # ---------------------------------------------------------------- array core
@@ -120,51 +100,6 @@ def normal_determinant_numeric_arrays(alpha, xi1, eta1, xi2, eta2):
     return (b * f - c * e) - (a * f - c * d) + (a * e - b * d)
 
 
-# ------------------------------------------------------------ scalar wrappers
-
-
-def omega(params, p):
-    return float(omega_arrays(params.alpha, p.xi, p.eta))
-
-
-def grad_omega(params, p):
-    gx, gy = grad_omega_arrays(params.alpha, p.xi, p.eta)
-    return float(gx), float(gy)
-
-
-def surface_normal(params, p):
-    gx, gy = grad_omega(params, p)
-    return np.array([1.0, -gx, -gy])
-
-
-def _unpack(q):
-    return q.p1.xi, q.p1.eta, q.p2.xi, q.p2.eta
-
-
-def resonance_fraction(params, q):
-    return float(resonance_arrays(params.alpha, *_unpack(q)))
-
-
-def resonance_difference(params, q):
-    return float(resonance_difference_arrays(params.alpha, *_unpack(q)))
-
-
-def omega1_part(params, q):
-    return float(omega1_arrays(params.alpha, q.p1.xi, q.p2.xi))
-
-
-def omega2_part(params, q):
-    return float(omega2_arrays(params.alpha, *_unpack(q)))
-
-
-def normal_determinant_numeric(params, q):
-    return float(normal_determinant_numeric_arrays(params.alpha, *_unpack(q)))
-
-
-def normal_determinant_closed(params, q):
-    return float(normal_determinant_closed_arrays(params.alpha, *_unpack(q)))
-
-
 # ------------------------------------------------------------------ the scan
 
 
@@ -180,16 +115,6 @@ class ResonanceScanReport:
     omega1_ratio_max: float
     omega_ratio_min: float
     omega_ratio_max: float
-
-    def json_records(self):
-        base = dict(alpha=self.alpha, N=self.N, gamma=self.gamma, theta=self.theta,
-                    samples=self.samples, seed=self.seed)
-        return [
-            dict(base, law="omega1_over_N^alpha*gamma",
-                 ratio_min=self.omega1_ratio_min, ratio_max=self.omega1_ratio_max),
-            dict(base, law="omega_over_N^(alpha-1)*gamma^2",
-                 ratio_min=self.omega_ratio_min, ratio_max=self.omega_ratio_max),
-        ]
 
 
 def interaction_boxes(alpha, N, gamma):
@@ -220,6 +145,8 @@ def _validate_scan_geometry(alpha, N, gamma):
 
 def resonance_size_scan(params, N, gamma, samples=10000, seed=0):
     """Sample D~1 x D~2 uniformly and measure both resonance size laws."""
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     alpha = params.alpha
     theta = _validate_scan_geometry(alpha, N, gamma)
     (x1r, e1r), (x2r, e2r) = interaction_boxes(alpha, N, gamma)
@@ -316,6 +243,8 @@ def transversality_check(params, n_max, n_min, samples=1000, seed=0, c=0.1):
     group-velocity slope gap |eta1/xi1 - eta2/xi2| (which lower-bounds the
     gradient gap |grad omega(p1) - grad omega(p2)|) against N_max^{alpha/2}.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     alpha = params.alpha
     rng = np.random.default_rng(seed)
     xi1, eta1, xi2, eta2 = sample_resonant_pairs(params, n_max, n_min, samples, rng, c=c)

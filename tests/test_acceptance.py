@@ -7,6 +7,7 @@ resonance magnitude law for Omega fails its [1/8, 8] band under uniform
 box sampling at every tested (alpha, N); see TestResonanceSizeLaw.
 """
 
+import functools
 import json
 import math
 import time
@@ -82,10 +83,9 @@ class TestNormalsDeterminant:
     def test_symmetric_hand_case(self):
         # alpha = 2, xi1 = xi2 = 1, eta1 = -eta2 = 1:
         # cross = 2, d = 2, Omega1 = 6, det = -2 (2/2) (3 (-6) - 2) = 40
-        q = S.FreqPair(S.FreqPoint(1.0, 1.0), S.FreqPoint(1.0, -1.0))
-        p = S.DispersionParams(2.0)
-        assert S.normal_determinant_closed(p, q) == pytest.approx(40.0, rel=1e-12)
-        assert S.normal_determinant_numeric(p, q) == pytest.approx(40.0, rel=1e-12)
+        q = (1.0, 1.0, 1.0, -1.0)  # (xi1, eta1, xi2, eta2)
+        assert float(S.normal_determinant_closed_arrays(2.0, *q)) == pytest.approx(40.0, rel=1e-12)
+        assert float(S.normal_determinant_numeric_arrays(2.0, *q)) == pytest.approx(40.0, rel=1e-12)
 
 
 class TestGradientCheck:
@@ -234,6 +234,42 @@ class TestNormInflation:
         assert abs(fine - coarse) < 0.01 * abs(fine)
 
 
+# The trend sweeps are deterministic, so each (probe, shift) runs once per
+# pytest run and the tests below share its slope summary.
+P3 = S.DispersionParams(3.0)
+
+
+@functools.cache
+def linear_trend(shift):
+    sweep = ProbeSweep(3.0, (8.0, 16.0, 32.0, 64.0, 128.0), 1, 0, (-INF, 0.1))
+    return linear_strichartz_sweep(P3, MixedNormSpec(4.0, 4.0), sweep,
+                                   comparator_shift=shift)[-1]
+
+
+@functools.cache
+def lowfreq_trend(shift):
+    sweep = ProbeSweep(3.0, tuple(2.0 ** -k for k in range(6, 0, -1)), 1, 0,
+                       (-0.2, 0.2))
+    return lowfreq_l4_sweep(P3, sweep, comparator_shift=shift)[-1]
+
+
+@functools.cache
+def bilinear_trend(shift):
+    sweep = ProbeSweep(3.0, (8.0, 16.0, 32.0, 64.0), 8, 0, (-INF, 0.1))
+    return bilinear_sweep(P3, 2.0, sweep, workers=4, comparator_shift=shift)[-1]
+
+
+@functools.cache
+def lattice_trends():
+    bands = ProbeSweep(3.0, (8.0, 16.0, 32.0, 64.0), 4, 0, (-INF, 0.2))
+    widths = ProbeSweep(3.0, (1.0, 2.0, 4.0, 8.0), 4, 0, (-INF, 0.2))
+    return (
+        lw_band_sweep(P3, 2.0, bands)[-1],
+        lw_modulation_sweep(P3, 8.0, 2.0, widths)[-1],
+        nonresonant_modulation_sweep(P3, 1.0, 8.0, widths)[-1],
+    )
+
+
 class TestTrendSuite:
     """Slope bands for all five ratio probes, each over >= 4 dyadic points,
     plus the wrong-comparator negative control.
@@ -244,57 +280,31 @@ class TestTrendSuite:
     control conjunction fails through its flipped members.
     """
 
-    P3 = S.DispersionParams(3.0)
-
-    def linear(self, shift=0.0):
-        sweep = ProbeSweep(3.0, (8.0, 16.0, 32.0, 64.0, 128.0), 1, 0, (-INF, 0.1))
-        return linear_strichartz_sweep(self.P3, MixedNormSpec(4.0, 4.0), sweep,
-                                       comparator_shift=shift)[-1]
-
-    def lowfreq(self, shift=0.0):
-        sweep = ProbeSweep(3.0, tuple(2.0 ** -k for k in range(6, 0, -1)), 1, 0,
-                           (-0.2, 0.2))
-        return lowfreq_l4_sweep(self.P3, sweep, comparator_shift=shift)[-1]
-
-    def bilinear(self, shift=0.0):
-        sweep = ProbeSweep(3.0, (8.0, 16.0, 32.0, 64.0), 8, 0, (-INF, 0.1))
-        return bilinear_sweep(self.P3, 2.0, sweep, workers=4,
-                              comparator_shift=shift)[-1]
-
-    def lattice_sweeps(self):
-        bands = ProbeSweep(3.0, (8.0, 16.0, 32.0, 64.0), 4, 0, (-INF, 0.2))
-        widths = ProbeSweep(3.0, (1.0, 2.0, 4.0, 8.0), 4, 0, (-INF, 0.2))
-        return [
-            lw_band_sweep(self.P3, 2.0, bands)[-1],
-            lw_modulation_sweep(self.P3, 8.0, 2.0, widths)[-1],
-            nonresonant_modulation_sweep(self.P3, 1.0, 8.0, widths)[-1],
-        ]
-
     def test_linear_band_slope(self):
-        summary = self.linear()
+        summary = linear_trend(0.0)
         assert summary.measured <= 0.1 and summary.passed
 
     def test_lowfreq_band_slope(self):
-        summary = self.lowfreq()
+        summary = lowfreq_trend(0.0)
         assert -0.2 <= summary.measured <= 0.2 and summary.passed
 
     def test_bilinear_resonant_slope(self):
-        summary = self.bilinear()
+        summary = bilinear_trend(0.0)
         assert summary.measured <= 0.1 and summary.passed
 
     def test_lattice_probe_slopes(self):
-        for summary in self.lattice_sweeps():
+        for summary in lattice_trends():
             assert summary.measured <= 0.2 and summary.passed
 
     def test_negative_controls_flip(self):
-        assert not self.linear(shift=-0.25).passed
-        assert not self.lowfreq(shift=-0.25).passed
-        assert not self.bilinear(shift=-0.25).passed
+        assert not linear_trend(-0.25).passed
+        assert not lowfreq_trend(-0.25).passed
+        assert not bilinear_trend(-0.25).passed
 
     def test_control_suite_conjunction_fails(self):
-        verdict = all(s.passed for s in self.lattice_sweeps())
+        verdict = all(s.passed for s in lattice_trends())
         assert verdict  # honest members stay green...
-        control = [self.linear(-0.25), self.lowfreq(-0.25), self.bilinear(-0.25)]
+        control = [linear_trend(-0.25), lowfreq_trend(-0.25), bilinear_trend(-0.25)]
         assert not all(s.passed for s in control)  # ...the suite still fails
 
 

@@ -91,8 +91,20 @@ class TestParseConfig:
             parse_config('{"command": "conserve", "alpha": "three"}')
         with pytest.raises(ValueError, match="'seed' must be an integer"):
             parse_config('{"command": "conserve", "seed": 1.5}')
-        with pytest.raises(ValueError, match="'evolution.dealias' must be true"):
-            parse_config('{"command": "conserve", "evolution": {"dealias": 1}}')
+        # the product is always dealiased; the old switch is an unknown key
+        with pytest.raises(ValueError, match="unknown key 'evolution.dealias'"):
+            parse_config('{"command": "conserve", "evolution": {"dealias": true}}')
+
+    def test_nan_rejected_infinity_kept(self):
+        with pytest.raises(ValueError, match="'illposedness.t' must be a number"):
+            parse_config('{"command": "illposedness", "illposedness": {"t": NaN}}')
+        with pytest.raises(ValueError, match="'scaling.lambdas' must hold numbers"):
+            parse_config('{"command": "scaling", "scaling": {"lambdas": [1, NaN]}}')
+        with pytest.raises(ValueError, match="'probe.tolerance_lo' must be a number"):
+            parse_config('{"command": "bilinear", "probe": '
+                         '{"dyadic_range": [8, 16, 32, 64], "tolerance_lo": NaN}}')
+        config = parse_config('{"command": "strichartz", "strichartz": {"q": Infinity}}')
+        assert config.sections["strichartz"]["q"] == math.inf
 
     def test_negative_workers(self):
         with pytest.raises(ValueError, match="workers"):
@@ -306,6 +318,20 @@ class TestExitCodes:
         manifest = json.loads((out / "manifest.json").read_text())
         assert "resolution loss" in manifest["error"]
 
+    @pytest.mark.parametrize("command, setting, message", [
+        ("illposedness", "illposedness.t=NaN", "'illposedness.t' must be a number"),
+        ("strichartz", "strichartz.T=NaN", "'strichartz.T' must be a number"),
+        ("conserve", "evolution.dt=NaN", "'evolution.dt' must be a number"),
+        ("resonance-scan", "scan.samples=0", "samples must be >= 1, got 0"),
+        ("transversality", "transversality.samples=0", "samples must be >= 1, got 0"),
+    ])
+    def test_bad_value_exits_1_without_records(self, tmp_path, capsys, command,
+                                               setting, message):
+        out = tmp_path / "out"
+        assert run_cli(command, "--set", setting, "--output-dir", str(out)) == 1
+        assert message in capsys.readouterr().err
+        assert not (out / "records.csv").exists()
+
     def test_command_line_set_override(self, tmp_path):
         cfg = write_config(tmp_path, small_conserve_config())
         out = tmp_path / "out"
@@ -345,6 +371,17 @@ class TestSweepCommands:
                        "--output-dir", str(out))
         assert code == 1
         assert "lw_band" in capsys.readouterr().err
+
+    def test_resonance_scan_laws(self, tmp_path):
+        out = tmp_path / "out"
+        assert run_cli("resonance-scan", "--set", "format=json",
+                       "--output-dir", str(out)) == 2
+        rows = [json.loads(line)
+                for line in (out / "records.jsonl").read_text().splitlines()]
+        assert [r["law"] for r in rows] == ["omega1_over_N^alpha*gamma",
+                                            "omega_over_N^(alpha-1)*gamma^2"]
+        for r in rows:
+            assert {"alpha", "N", "gamma", "samples", "seed", "ratio_min"} <= set(r)
 
     def test_transversality_records(self, tmp_path):
         out = tmp_path / "out"

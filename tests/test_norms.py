@@ -97,26 +97,6 @@ class TestEnergy:
         with pytest.raises(ValueError):
             nm.quadratic_energy(DispersionParams(2.5), u)
 
-    def test_energy_space_norm_brackets_quadratic_pieces(self):
-        g = unit_grid()
-        rng = np.random.default_rng(3)
-        x, y = np.meshgrid(g.x, g.y, indexing="ij")
-        u = to_spectral(
-            sum(rng.normal() * np.cos(i * x + j * y) for i in (1, 2, 3) for j in (-1, 0, 2)),
-            g,
-        )
-        p = DispersionParams(3.0)
-        e = nm.energy_space_norm(p, u)
-        lower = math.sqrt(nm.mass(u) + 2.0 * nm.quadratic_energy(p, u))
-        assert lower <= e <= math.sqrt(3.0) * lower * (1.0 + 1e-12)
-
-    def test_energy_space_single_mode(self):
-        g = unit_grid()
-        p = DispersionParams(2.0)
-        u = mode_field(g, 2, 4)
-        want = (1.0 + 2.0 + 2.0) * math.sqrt(nm.mass(u))  # 1 + |xi| + |eta|/|xi|
-        assert nm.energy_space_norm(p, u) == pytest.approx(want, rel=1e-12)
-
 
 class TestSobolev:
     def test_single_mode_inhomogeneous(self):
@@ -235,7 +215,6 @@ class TestFlowInvariance:
         checks = [
             (nm.mass(u), nm.mass(w)),
             (nm.quadratic_energy(p, u), nm.quadratic_energy(p, w)),
-            (nm.energy_space_norm(p, u), nm.energy_space_norm(p, w)),
             (nm.sobolev_aniso(u, nm.AnisoIndex(1.0, 1.0)), nm.sobolev_aniso(w, nm.AnisoIndex(1.0, 1.0))),
         ]
         for a, b in checks:

@@ -10,6 +10,10 @@ def params(alpha):
     return S.DispersionParams(alpha)
 
 
+def grad(alpha, xi, eta):
+    return tuple(float(g) for g in S.grad_omega_arrays(alpha, xi, eta))
+
+
 def random_pairs(n, seed, xi_lo=0.1, xi_hi=4.0, eta_hi=5.0):
     rng = np.random.default_rng(seed)
     sign = lambda: np.where(rng.random(n) < 0.5, -1.0, 1.0)
@@ -29,26 +33,17 @@ class TestTypes:
             with pytest.raises(ValueError):
                 params(bad)
 
-    def test_freq_point(self):
-        with pytest.raises(ValueError):
-            S.FreqPoint(0.0, 1.0)
-        assert S.FreqPoint(-2.0).eta == 0.0
-
-    def test_freq_pair(self):
-        with pytest.raises(ValueError):
-            S.FreqPair(S.FreqPoint(1.0, 0.0), S.FreqPoint(-1.0, 2.0))
-
 
 class TestOmega:
     def test_values(self):
-        assert S.omega(params(2.0), S.FreqPoint(1.0, 0.0)) == 1.0
-        assert S.omega(params(3.0), S.FreqPoint(1.0, 2.0)) == 5.0
+        assert float(S.omega_arrays(2.0, 1.0, 0.0)) == 1.0
+        assert float(S.omega_arrays(3.0, 1.0, 2.0)) == 5.0
         # odd symmetry of |xi|^alpha xi
-        assert S.omega(params(2.7), S.FreqPoint(-1.0, 0.0)) == -1.0
+        assert float(S.omega_arrays(2.7, -1.0, 0.0)) == -1.0
 
     def test_grad_values(self):
-        assert S.grad_omega(params(2.0), S.FreqPoint(1.0, 0.0)) == (3.0, 0.0)
-        assert S.grad_omega(params(2.0), S.FreqPoint(1.0, 1.0)) == (2.0, 2.0)
+        assert grad(2.0, 1.0, 0.0) == (3.0, 0.0)
+        assert grad(2.0, 1.0, 1.0) == (2.0, 2.0)
 
     def test_grad_finite_difference_oracle(self):
         # central differences of omega, step 1e-6, on points with |xi| >= 0.1
@@ -66,31 +61,27 @@ class TestOmega:
         assert np.max(err / scale) < 1e-6
 
     def test_surface_normal(self):
-        n = S.surface_normal(params(2.0), S.FreqPoint(1.0, 0.0))
-        assert np.array_equal(n, [1.0, -3.0, 0.0])
-        n = S.surface_normal(params(3.0), S.FreqPoint(1.0, 1.0))
-        assert np.array_equal(n, [1.0, -3.0, -2.0])
-        g = S.grad_omega(params(3.0), S.FreqPoint(1.0, 1.0))
-        assert n[1] == -g[0] and n[2] == -g[1]
+        # n = (1, -grad omega), the columns normal_determinant_numeric_arrays stacks
+        gx, gy = grad(2.0, 1.0, 0.0)
+        assert np.array_equal([1.0, -gx, -gy], [1.0, -3.0, 0.0])
+        gx, gy = grad(3.0, 1.0, 1.0)
+        assert np.array_equal([1.0, -gx, -gy], [1.0, -3.0, -2.0])
 
 
 class TestResonance:
     def test_basic_value(self):
-        q = S.FreqPair(S.FreqPoint(1.0, 0.0), S.FreqPoint(1.0, 0.0))
-        p = params(2.0)
-        assert S.resonance_fraction(p, q) == 6.0
-        assert S.omega1_part(p, q) == 6.0
-        assert S.omega2_part(p, q) == 0.0
+        q = (1.0, 0.0, 1.0, 0.0)  # (xi1, eta1, xi2, eta2)
+        assert float(S.resonance_arrays(2.0, *q)) == 6.0
+        assert float(S.omega1_arrays(2.0, 1.0, 1.0)) == 6.0
+        assert float(S.omega2_arrays(2.0, *q)) == 0.0
 
     def test_omega2_value(self):
-        q = S.FreqPair(S.FreqPoint(1.0, 1.0), S.FreqPoint(1.0, -1.0))
-        assert S.omega2_part(params(2.0), q) == 2.0
+        assert float(S.omega2_arrays(2.0, 1.0, 1.0, 1.0, -1.0)) == 2.0
 
     def test_collinear_reduces_to_omega1(self):
-        q = S.FreqPair(S.FreqPoint(2.0, 3.0), S.FreqPoint(4.0, 6.0))
-        p = params(2.5)
-        assert S.omega2_part(p, q) == 0.0
-        assert S.resonance_fraction(p, q) == S.omega1_part(p, q)
+        q = (2.0, 3.0, 4.0, 6.0)
+        assert float(S.omega2_arrays(2.5, *q)) == 0.0
+        assert float(S.resonance_arrays(2.5, *q)) == float(S.omega1_arrays(2.5, 2.0, 4.0))
 
     def test_fraction_equals_difference(self):
         # the partial-fractions identity, checked against the raw omega sum
@@ -145,16 +136,14 @@ class TestResonance:
 
 class TestDeterminant:
     def test_hand_value(self):
-        q = S.FreqPair(S.FreqPoint(1.0, 1.0), S.FreqPoint(1.0, -1.0))
-        p = params(2.0)
-        assert abs(S.normal_determinant_numeric(p, q) - 40.0) < 1e-12
-        assert abs(S.normal_determinant_closed(p, q) - 40.0) < 1e-12
+        q = (1.0, 1.0, 1.0, -1.0)
+        assert abs(float(S.normal_determinant_numeric_arrays(2.0, *q)) - 40.0) < 1e-12
+        assert abs(float(S.normal_determinant_closed_arrays(2.0, *q)) - 40.0) < 1e-12
 
     def test_collinear_vanishes(self):
-        q = S.FreqPair(S.FreqPoint(1.0, 2.0), S.FreqPoint(3.0, 6.0))
-        p = params(2.8)
-        assert S.normal_determinant_closed(p, q) == 0.0
-        assert abs(S.normal_determinant_numeric(p, q)) < 1e-9
+        q = (1.0, 2.0, 3.0, 6.0)
+        assert float(S.normal_determinant_closed_arrays(2.8, *q)) == 0.0
+        assert abs(float(S.normal_determinant_numeric_arrays(2.8, *q))) < 1e-9
 
     def test_mutual_oracle(self):
         alpha = 3.3
@@ -188,15 +177,9 @@ class TestResonanceScan:
         r3 = S.resonance_size_scan(p, n, gamma, samples=500, seed=43)
         assert r1 != r3
 
-    def test_json_records_shape(self):
-        p = params(2.5)
-        n = 2.0 ** 8
-        rep = S.resonance_size_scan(p, n, n ** -0.8, samples=200, seed=1)
-        recs = rep.json_records()
-        assert len(recs) == 2
-        for r in recs:
-            assert {"alpha", "N", "gamma", "theta", "ratio_min", "ratio_max",
-                    "samples", "seed", "law"} <= set(r)
+    def test_zero_samples(self):
+        with pytest.raises(ValueError, match="samples must be >= 1, got 0"):
+            S.resonance_size_scan(params(2.5), 256.0, 256.0 ** -0.8, samples=0)
 
     def test_size_law_bands_at_example_point(self):
         # alpha=2.2, N=2^8, theta=0.05, 1e4 samples: both ratio ranges in [1/8, 8].
@@ -250,6 +233,10 @@ class TestTransversality:
         a = S.transversality_check(p, 16.0, 4.0, samples=200, seed=9)
         b = S.transversality_check(p, 16.0, 4.0, samples=200, seed=9)
         assert a == b
+
+    def test_zero_samples(self):
+        with pytest.raises(ValueError, match="samples must be >= 1, got 0"):
+            S.transversality_check(params(3.0), 16.0, 2.0, samples=0)
 
     def test_empty_set_error(self):
         p = params(3.0)
