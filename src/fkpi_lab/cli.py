@@ -39,7 +39,6 @@ from .probes import (
     make_record,
     nonresonant_modulation_sweep,
     scaling_exponent_fit,
-    scaling_norm_pair,
     illposedness_growth_study,
     slope_report,
     write_records_csv,
@@ -83,7 +82,7 @@ SCHEMA = {
     "probe": {
         "dyadic_range": _Key(None, "float_list",
                              "sweep points (powers of two, ascending); "
-                             "omit the section for the command's canonical sweep"),
+                             "null = the command's canonical sweep"),
         "trials_per_point": _Key(4, "int", "random trials averaged per point"),
         "tolerance_lo": _Key(None, "float_or_null",
                              "slope band floor; null = one-sided"),
@@ -109,7 +108,7 @@ SCHEMA = {
         "eta_sigma": _Key(2.0, "float", "transverse width of the data bump"),
         "comparator_shift": _Key(0.0, "float",
                                  "multiply the comparator by N^shift "
-                                 "(negative control: -0.25)"),
+                                 "(negative control: -0.5)"),
     },
     "bilinear": {
         "n2": _Key(2.0, "float", "low band held fixed during the N1 sweep"),
@@ -165,13 +164,14 @@ SCHEMA = {
 @dataclass(frozen=True)
 class RunConfig:
     command: str
+    regime: str | None
     alpha: float
     seed: int
     workers: int
     output_dir: str
     format: str
-    grid: FrequencyGrid | None
-    evolution: EvolutionConfig | None
+    grid: FrequencyGrid
+    evolution: EvolutionConfig
     probe: ProbeSweep | None
     sections: dict
     echo: dict
@@ -237,11 +237,11 @@ def _walk_schema(raw):
     return cfg
 
 
-def _fill_section(name, present):
-    spec = SCHEMA[name]
+def _fill_section(name, present, row=None):
+    """The section as given, each missing key taken from `row`, else SCHEMA."""
     out = dict(present or {})
-    for k2, key in spec.items():
-        out.setdefault(k2, key.default)
+    for k2, key in SCHEMA[name].items():
+        out.setdefault(k2, (row or {}).get(k2, key.default))
     return out
 
 
@@ -282,34 +282,34 @@ def _build_config(raw, command):
     if workers < 0:
         raise ValueError(f"workers must be nonnegative, got {workers}")
 
-    echo = {"command": cmd, "alpha": alpha, "seed": seed, "workers": workers,
-            "output_dir": cfg.get("output_dir", SCHEMA["output_dir"].default),
-            "format": cfg.get("format", SCHEMA["format"].default)}
-    for name in ("grid", "evolution", "probe"):
-        if name in cfg:
-            echo[name] = _fill_section(name, cfg[name])
-    # schema keys of these sections are the constructors' field names
-    grid = FrequencyGrid(**echo["grid"]) if "grid" in echo else None
-    evolution = EvolutionConfig(**echo["evolution"]) if "evolution" in echo else None
-    probe = None
-    if "probe" in echo:
-        p = echo["probe"]
-        if p["dyadic_range"] is None:
-            raise ValueError("'probe.dyadic_range' is required when the "
-                             "probe section is given")
-        lo = -math.inf if p["tolerance_lo"] is None else p["tolerance_lo"]
-        probe = ProbeSweep(alpha=alpha, dyadic_range=p["dyadic_range"],
-                           trials_per_point=p["trials_per_point"], seed=seed,
-                           tolerance_band=(lo, p["tolerance_hi"]))
-
     sections = {
         name: _fill_section(name, cfg.get(name))
         for name in ("data", "conserve", "strichartz", "bilinear", "trilinear",
                      "scaling", "illposedness", "scan", "transversality")
     }
-    echo.update(sections)
+    regime = sections[cmd][REGIME_KEYS[cmd]] if cmd in REGIME_KEYS else None
+    row_grid, row_probe, _ = SETUPS[cmd, regime]
+    filled = {name: _fill_section(name, cfg.get(name), row) for name, row in
+              (("grid", row_grid), ("evolution", None), ("probe", row_probe))}
+    echo = {"command": cmd, "alpha": alpha, "seed": seed, "workers": workers,
+            "output_dir": cfg.get("output_dir", SCHEMA["output_dir"].default),
+            "format": cfg.get("format", SCHEMA["format"].default), **sections}
+    echo.update((name, filled[name]) for name in filled if name in cfg)
+    # schema keys of these sections are the constructors' field names
+    grid = FrequencyGrid(**filled["grid"])
+    evolution = EvolutionConfig(**filled["evolution"])
+    p = filled["probe"]
+    probe = None
+    if p["dyadic_range"] is not None:
+        lo = -math.inf if p["tolerance_lo"] is None else p["tolerance_lo"]
+        probe = ProbeSweep(alpha=alpha, dyadic_range=p["dyadic_range"],
+                           trials_per_point=p["trials_per_point"], seed=seed,
+                           tolerance_band=(lo, p["tolerance_hi"]))
+    elif "probe" in cfg:
+        raise ValueError("'probe.dyadic_range' is required when the "
+                         "probe section is given")
     return RunConfig(
-        command=cmd, alpha=alpha, seed=seed, workers=workers,
+        command=cmd, regime=regime, alpha=alpha, seed=seed, workers=workers,
         output_dir=echo["output_dir"], format=echo["format"],
         grid=grid, evolution=evolution, probe=probe,
         sections=sections, echo=echo)
@@ -338,7 +338,7 @@ def apply_overrides(raw, assignments):
     return raw
 
 
-# ------------------------------------------------------------------ handlers
+# ------------------------------------------------------------------ commands
 
 
 def _smooth_data(grid, amplitude, l2_target, seed):
@@ -363,12 +363,8 @@ def _rel_drift(value, reference):
     return abs(value - reference) / max(abs(reference), 1e-300)
 
 
-def _evolve(config):
-    params = DispersionParams(config.alpha)
-    grid = config.grid or FrequencyGrid(length_x=TWO_PI, length_y=TWO_PI,
-                                        modes_x=256, modes_y=256)
-    ev = config.evolution or EvolutionConfig(dt=1e-3, T=1.0, snapshot_stride=50)
-    data = config.sections["data"]
+def _evolve(params, config):
+    grid, ev, data = config.grid, config.evolution, config.sections["data"]
     if data["kind"] == "zero":
         u0 = to_spectral(np.zeros((grid.modes_x, grid.modes_y)), grid)
     else:
@@ -381,8 +377,8 @@ def _evolve(config):
     return traj, base, masses, energies
 
 
-def _run_simulate(config):
-    traj, base, masses, energies = _evolve(config)
+def _simulate(params, config, sec):
+    traj, base, masses, energies = _evolve(params, config)
     records = [make_record("simulate_" + name, base, values[-1], values[0], True,
                            note="final vs initial")
                for name, values in (("mass", masses), ("energy", energies))]
@@ -392,9 +388,8 @@ def _run_simulate(config):
     return records, curves
 
 
-def _run_conserve(config):
-    traj, base, masses, energies = _evolve(config)
-    tol = config.sections["conserve"]
+def _conserve(params, config, tol):
+    traj, base, masses, energies = _evolve(params, config)
     records, curves = [], []
     for name, values in (("mass", masses), ("energy", energies)):
         drift = [_rel_drift(v, values[0]) for v in values]
@@ -405,97 +400,33 @@ def _run_conserve(config):
     return records, curves
 
 
-def _lw_band(params, sweep, sec, workers, grid):
-    if sec["comparator_shift"] != 0.0:
-        raise ValueError(
-            "trilinear.comparator_shift applies to the modulation sweeps "
-            "only, not to the lw_band regime")
-    return lw_band_sweep(params, sec["n2"], sweep, l=sec["l"], workers=workers,
-                         nodes=_nodes(sec))
+def _curve(records, name, xs, value="ratio"):
+    """The records and one plot curve: `value` of each point record vs xs."""
+    return records, [(name, xs, [getattr(r, value) for r in records[:-1]])]
+
+
+def _pool(config):
+    return config.workers or os.cpu_count()
 
 
 def _nodes(sec):
     return (sec["nodes_tau"], sec["nodes_xi"], sec["nodes_eta"])
 
 
-# (command, regime) -> canonical dyadic range, trials per point, slope band,
-# plot-curve name, and the probe call (params, sweep, section, workers, grid).
-# Probes are named inside the calls, so they are looked up when a sweep runs.
-SWEEPS = {
-    ("strichartz", "linear"): (
-        (8.0, 16.0, 32.0, 64.0, 128.0), 1, (-math.inf, 0.1),
-        "linear_strichartz_band_n",
-        lambda params, sweep, sec, workers, grid: linear_strichartz_sweep(
-            params, MixedNormSpec(sec["q"], sec["r"]), sweep, grid=grid,
-            T=sec["T"], snapshots=sec["snapshots"], eta_sigma=sec["eta_sigma"],
-            workers=workers, comparator_shift=sec["comparator_shift"])),
-    ("strichartz", "lowfreq"): (
-        tuple(2.0 ** -k for k in range(6, 0, -1)), 1, (-0.2, 0.2), "lowfreq_l4_N",
-        lambda params, sweep, sec, workers, grid: lowfreq_l4_sweep(
-            params, sweep, grid=grid, T=sec["T"], snapshots=sec["snapshots"],
-            eta_sigma=sec["eta_sigma"], workers=workers,
-            comparator_shift=sec["comparator_shift"])),
-    ("bilinear", None): (
-        (8.0, 16.0, 32.0, 64.0), 8, (-math.inf, 0.1), "bilinear_n1",
-        lambda params, sweep, sec, workers, grid: bilinear_sweep(
-            params, sec["n2"], sweep, workers=workers,
-            comparator_shift=sec["comparator_shift"],
-            resolution=(sec["nk"], sec["nw"], sec["nx"]))),
-    ("trilinear", "lw_band"): (
-        (8.0, 16.0, 32.0, 64.0), 4, (-math.inf, 0.2), "lw_n1", _lw_band),
-    ("trilinear", "lw_modulation"): (
-        (1.0, 2.0, 4.0, 8.0), 4, (-math.inf, 0.2), "lw_modulation_l",
-        lambda params, sweep, sec, workers, grid: lw_modulation_sweep(
-            params, sec["n1"], sec["n2"], sweep, workers=workers,
-            comparator_shift=sec["comparator_shift"], nodes=_nodes(sec))),
-    ("trilinear", "nonresonant"): (
-        (1.0, 2.0, 4.0, 8.0), 4, (-math.inf, 0.2), "nonresonant_l1",
-        lambda params, sweep, sec, workers, grid: nonresonant_modulation_sweep(
-            params, sec["n1"], sec["n2"], sweep,
-            l3=sec["l3"] if sec["l3"] > 0.0 else None, workers=workers,
-            comparator_shift=sec["comparator_shift"], nodes=_nodes(sec))),
-}
-
-# section key that picks the regime of a multi-regime sweep command
-REGIME_KEYS = {"strichartz": "kind", "trilinear": "regime"}
+def _lw_band(params, config, sec):
+    if sec["comparator_shift"] != 0.0:
+        raise ValueError(
+            "trilinear.comparator_shift applies to the modulation sweeps "
+            "only, not to the lw_band regime")
+    return _curve(lw_band_sweep(params, sec["n2"], config.probe, l=sec["l"],
+                                workers=_pool(config), nodes=_nodes(sec)),
+                  "lw_n1", config.probe.dyadic_range)
 
 
-def _run_sweep(config):
-    sec = config.sections[config.command]
-    regime = sec[REGIME_KEYS[config.command]] if config.command in REGIME_KEYS else None
-    dyadic_range, trials, band, curve, probe = SWEEPS[config.command, regime]
-    sweep = config.probe or ProbeSweep(
-        alpha=config.alpha, dyadic_range=dyadic_range, trials_per_point=trials,
-        seed=config.seed, tolerance_band=band)
-    records = probe(DispersionParams(config.alpha), sweep, sec,
-                    config.workers or os.cpu_count(), config.grid)
-    return records, [(curve, sweep.dyadic_range, [r.ratio for r in records[:-1]])]
-
-
-def _run_scaling(config):
-    params = DispersionParams(config.alpha)
-    sec = config.sections["scaling"]
-    idx = AnisoIndex(sec["s1"], sec["s2"])
-    grid = config.grid or FrequencyGrid(length_x=64.0 * math.pi,
-                                        length_y=64.0 * math.pi,
-                                        modes_x=512, modes_y=1024)
-    record = scaling_exponent_fit(params, idx, lambdas=sec["lambdas"], grid=grid)
-    norms = [scaling_norm_pair(params, idx, lam, grid)[0]
-             for lam in sec["lambdas"]]
-    curves = [("scaling_norm_lambda", sec["lambdas"], norms)]
-    return [record], curves
-
-
-def _run_illposedness(config):
-    params = DispersionParams(config.alpha)
-    sec = config.sections["illposedness"]
-    records = illposedness_growth_study(
-        params, sec["theta"], sec["n_list"],
-        sbar=AnisoIndex(sec["s1"], sec["s2"]), t=sec["t"],
-        quad_res=sec["quad_res"])
-    curves = [("illposedness_norm_N", sec["n_list"],
-               [r.measured for r in records[:-1]])]
-    return records, curves
+def _scaling(params, config, sec):
+    record, norms = scaling_exponent_fit(
+        params, AnisoIndex(sec["s1"], sec["s2"]), sec["lambdas"], config.grid)
+    return [record], [("scaling_norm_lambda", sec["lambdas"], norms)]
 
 
 def _band_records(name, base, pairs, lo, hi):
@@ -508,8 +439,7 @@ def _band_records(name, base, pairs, lo, hi):
     return records
 
 
-def _run_resonance_scan(config):
-    params = DispersionParams(config.alpha)
+def _resonance_scan(params, config, _):
     sec = config.sections["scan"]
     gamma = sec["N"] ** (-(config.alpha - 1.0) / 2.0 - sec["theta"])
     report = resonance_size_scan(params, sec["N"], gamma,
@@ -525,9 +455,7 @@ def _run_resonance_scan(config):
     return _band_records("resonance_scan", base, pairs, 0.125, 8.0), []
 
 
-def _run_transversality(config):
-    params = DispersionParams(config.alpha)
-    sec = config.sections["transversality"]
+def _transversality(params, config, sec):
     report = transversality_check(params, sec["n_max"], sec["n_min"],
                                   samples=sec["samples"], seed=config.seed,
                                   c=sec["c"])
@@ -542,17 +470,81 @@ def _run_transversality(config):
     return _band_records("transversality", base, pairs, 0.0625, 16.0), []
 
 
-HANDLERS = {
-    "simulate": _run_simulate,
-    "conserve": _run_conserve,
-    "strichartz": _run_sweep,
-    "bilinear": _run_sweep,
-    "trilinear": _run_sweep,
-    "scaling": _run_scaling,
-    "illposedness": _run_illposedness,
-    "resonance-scan": _run_resonance_scan,
-    "transversality": _run_transversality,
+# One row per (command, regime): the canonical grid and sweep, written as the
+# grid and probe keys that differ from the SCHEMA defaults, and the call
+# (params, config, the command's section) -> (records, plot curves).  A grid
+# or probe section given in the config is completed from its row.  Library
+# functions are named inside the calls, so they are looked up when a command
+# runs (perfbench/tracer.py patches them); nothing here runs at import.
+SETUPS = {
+    ("simulate", None): ({}, {}, _simulate),
+    ("conserve", None): ({}, {}, _conserve),
+    ("strichartz", "linear"): (
+        {"modes_x": 512, "modes_y": 64},
+        {"dyadic_range": (8.0, 16.0, 32.0, 64.0, 128.0), "trials_per_point": 1},
+        lambda params, c, sec: _curve(linear_strichartz_sweep(
+            params, MixedNormSpec(sec["q"], sec["r"]), c.probe, c.grid,
+            T=sec["T"], snapshots=sec["snapshots"], eta_sigma=sec["eta_sigma"],
+            workers=_pool(c), comparator_shift=sec["comparator_shift"]),
+            "linear_strichartz_band_n", c.probe.dyadic_range)),
+    ("strichartz", "lowfreq"): (
+        {"length_x": 256.0 * math.pi, "length_y": 16.0 * math.pi,
+         "modes_x": 512, "modes_y": 64},
+        {"dyadic_range": (0.015625, 0.03125, 0.0625, 0.125, 0.25, 0.5),
+         "trials_per_point": 1, "tolerance_lo": -0.2, "tolerance_hi": 0.2},
+        lambda params, c, sec: _curve(lowfreq_l4_sweep(
+            params, c.probe, c.grid, sec["eta_sigma"], T=sec["T"],
+            snapshots=sec["snapshots"], workers=_pool(c),
+            comparator_shift=sec["comparator_shift"]),
+            "lowfreq_l4_N", c.probe.dyadic_range)),
+    ("bilinear", None): (
+        {}, {"dyadic_range": (8.0, 16.0, 32.0, 64.0), "trials_per_point": 8},
+        lambda params, c, sec: _curve(bilinear_sweep(
+            params, sec["n2"], c.probe, workers=_pool(c),
+            comparator_shift=sec["comparator_shift"],
+            resolution=(sec["nk"], sec["nw"], sec["nx"])),
+            "bilinear_n1", c.probe.dyadic_range)),
+    ("trilinear", "lw_band"): (
+        {}, {"dyadic_range": (8.0, 16.0, 32.0, 64.0), "tolerance_hi": 0.2},
+        _lw_band),
+    ("trilinear", "lw_modulation"): (
+        {}, {"dyadic_range": (1.0, 2.0, 4.0, 8.0), "tolerance_hi": 0.2},
+        lambda params, c, sec: _curve(lw_modulation_sweep(
+            params, sec["n1"], sec["n2"], c.probe, workers=_pool(c),
+            comparator_shift=sec["comparator_shift"], nodes=_nodes(sec)),
+            "lw_modulation_l", c.probe.dyadic_range)),
+    ("trilinear", "nonresonant"): (
+        {}, {"dyadic_range": (1.0, 2.0, 4.0, 8.0), "tolerance_hi": 0.2},
+        lambda params, c, sec: _curve(nonresonant_modulation_sweep(
+            params, sec["n1"], sec["n2"], c.probe,
+            l3=sec["l3"] if sec["l3"] > 0.0 else None, workers=_pool(c),
+            comparator_shift=sec["comparator_shift"], nodes=_nodes(sec)),
+            "nonresonant_l1", c.probe.dyadic_range)),
+    ("scaling", None): (
+        {"length_x": 64.0 * math.pi, "length_y": 64.0 * math.pi,
+         "modes_x": 512, "modes_y": 1024}, {}, _scaling),
+    ("illposedness", None): (
+        {}, {},
+        lambda params, c, sec: _curve(illposedness_growth_study(
+            params, sec["theta"], sec["n_list"],
+            sbar=AnisoIndex(sec["s1"], sec["s2"]), t=sec["t"],
+            quad_res=sec["quad_res"]), "illposedness_norm_N", sec["n_list"],
+            "measured")),
+    ("resonance-scan", None): ({}, {}, _resonance_scan),
+    ("transversality", None): ({}, {}, _transversality),
 }
+
+# section key that picks the regime of a multi-regime command
+REGIME_KEYS = {"strichartz": "kind", "trilinear": "regime"}
+
+
+def _run_setup(config):
+    call = SETUPS[config.command, config.regime][2]
+    return call(DispersionParams(config.alpha), config,
+                config.sections.get(config.command))
+
+
+HANDLERS = {command: _run_setup for command, _ in SETUPS}
 
 
 # ----------------------------------------------------------------- artifacts
@@ -628,15 +620,15 @@ def run(config):
 # ----------------------------------------------------------------------- CLI
 
 
+def _shown(value):
+    return json.dumps(list(value) if isinstance(value, tuple) else value)
+
+
 def _describe(name, key):
     text = key.help
     if key.choices:
         text += f" (one of {', '.join(str(c) for c in key.choices)})"
-    if name == "command":
-        shown = "required"
-    else:
-        default = list(key.default) if isinstance(key.default, tuple) else key.default
-        shown = json.dumps(default)
+    shown = "required" if name == "command" else _shown(key.default)
     return f"  {name:<28} default {shown:<22} {text}"
 
 
@@ -647,21 +639,22 @@ def _schema_help():
             lines += [_describe(f"{key}.{k2}", sub) for k2, sub in spec.items()]
         else:
             lines.append(_describe(key, spec))
+    lines += ["", "canonical setups: grid and probe keys that differ from the "
+              "defaults above;", "a grid or probe section given in the config "
+              "is completed from its row:"]
+    for (command, regime), (grid, probe, _) in SETUPS.items():
+        label = f"{command} {regime or ''}"
+        for name, keys in (("grid", grid), ("probe", probe)):
+            if keys:
+                text = " ".join(f"{k}={v / math.pi:g}pi" if k.startswith("length")
+                                else f"{k}={_shown(v)}" for k, v in keys.items())
+                lines.append(f"  {label:<24} {name}: {text}")
+                label = ""
+        if label:
+            lines.append(f"  {label:<24} (section defaults)")
     lines += [
-        "",
-        "grid/evolution/probe sections are optional; when omitted each command",
-        "uses its canonical setup:",
-        "  simulate, conserve   2pi periodic box, 256x256 modes, dt 1e-3, T 1",
-        "  strichartz linear    512x64 modes on a 2pi box, N in {8..128}, "
-        "slope cap 0.1",
-        "  strichartz lowfreq   512x64 modes on a (256pi, 16pi) box, N in "
-        "{1/64..1/2}, band [-0.2, 0.2]",
-        "  bilinear             N1 in {8..64}, 8 trials per point, slope cap 0.1",
-        "  trilinear            N1 in {8..64} or L in {1..8}, 4 trials, "
-        "slope cap 0.2; nonresonant",
-        "                       needs n1 <= n2/4: --set trilinear.n1=1 "
+        "trilinear nonresonant needs n1 <= n2/4: --set trilinear.n1=1 "
         "--set trilinear.n2=8",
-        "  scaling              512x1024 modes on a 64pi box",
         "",
         "exit status: 0 = all records pass, 2 = some record failed, "
         "1 = execution error",

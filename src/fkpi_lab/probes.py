@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .evolution import box_data_norms, propagate_linear, second_iterate_boxdata
-from .grid import FrequencyGrid, SpectralField, fractional_x_derivative, is_dyadic
+from .grid import SpectralField, fractional_x_derivative, is_dyadic
 from .norms import AnisoIndex, MixedNormSpec, mass, spacetime_norm
 from .symbols import omega1_arrays, omega_arrays, resonance_difference_arrays
 
@@ -244,19 +244,19 @@ def linear_strichartz_ratio(params, spec, u0, T=1.0, snapshots=128, extra_inputs
     return make_record("linear_strichartz", inputs, measured, l2, True)
 
 
-def linear_strichartz_sweep(params, spec, sweep, grid=None, T=1.0, snapshots=128,
+def linear_strichartz_sweep(params, spec, sweep, grid, T=1.0, snapshots=128,
                             eta_sigma=2.0, workers=None, comparator_shift=0.0):
     """Band-sweep of linear_strichartz_ratio plus its slope verdict.
 
     The time window shrinks like 1/N from T at the first band, tracking the
     band's dispersal time; on a fixed periodic box a fixed window would only
     see the equidistributed plateau, which carries no band information.
-    comparator_shift multiplies the comparator by N^shift; the negative
-    control runs with shift = -1/4 and must then fail the slope band.
+    comparator_shift multiplies the comparator by N^shift.  The slope moves
+    by exactly the shift, so a negative control must push the honest slope
+    past the cap: at the CLI's canonical alpha = 2.5 setup the slope is
+    -0.160, so shift -1/4 (0.090) stays under the 0.1 cap and -1/2 (0.340)
+    fails.
     """
-    if grid is None:
-        grid = FrequencyGrid(length_x=2.0 * math.pi, length_y=2.0 * math.pi,
-                             modes_x=512, modes_y=64)
     n0 = sweep.dyadic_range[0]
     return _sweep(
         sweep, lambda n: linear_strichartz_ratio(
@@ -298,12 +298,8 @@ def lowfreq_l4_ratio(params, N, K, u0, T=1.0, snapshots=128, extra_inputs=None):
     return make_record("lowfreq_l4", inputs, measured, comparator, True)
 
 
-def lowfreq_l4_sweep(params, sweep, grid=None, T=1.0, snapshots=128,
-                     eta_sigma=1.0, workers=None, comparator_shift=0.0):
-    if grid is None:
-        grid = FrequencyGrid(length_x=2.0 * math.pi * 128.0,
-                             length_y=2.0 * math.pi * 8.0,
-                             modes_x=512, modes_y=64)
+def lowfreq_l4_sweep(params, sweep, grid, eta_sigma, T=1.0, snapshots=128,
+                     workers=None, comparator_shift=0.0):
     return _sweep(
         sweep, lambda n: lowfreq_l4_ratio(
             params, n, n, band_bump_field(grid, n, 2.0 * n, eta_sigma), T=T,
@@ -758,24 +754,20 @@ def scaling_norm_pair(params, idx, lam, grid):
     return lattice, analytic
 
 
-def scaling_exponent_fit(params, idx, lambdas=None, grid=None):
+def scaling_exponent_fit(params, idx, lambdas, grid):
     """Fit the norm-vs-lambda law of the anisotropic rescaling.
 
+    Returns the slope record and the lattice norm at each lambda.
     pass = |fitted slope - (-3 alpha/4 + 1 - s1 - (alpha/2 + 1) s2)| <= 0.02.
     Raises when more than 1% of the weighted energy falls off the lattice.
     """
     if idx.s1 <= -1.25 or idx.s2 <= -0.25:
         raise ValueError("weights below the integrability floor of the profile")
-    if lambdas is None:
-        lambdas = (0.5, 2.0 ** -0.5, 1.0, 2.0 ** 0.5, 2.0)
     lambdas = tuple(float(x) for x in lambdas)
     if len(lambdas) < 4:
         raise ValueError("need at least 4 lambda values for the fit")
     if any(x <= 0.0 for x in lambdas):
         raise ValueError("lambda values must be positive")
-    if grid is None:
-        grid = FrequencyGrid(length_x=64.0 * math.pi, length_y=64.0 * math.pi,
-                             modes_x=512, modes_y=1024)
     norms = []
     for lam in lambdas:
         lattice, analytic = scaling_norm_pair(params, idx, lam, grid)
@@ -792,7 +784,7 @@ def scaling_exponent_fit(params, idx, lambdas=None, grid=None):
               "points": len(lambdas)}
     return make_record("scaling_exponent", inputs, slope, target,
                        abs(slope - target) <= 0.02,
-                       note="slope of log norm vs log lambda")
+                       note="slope of log norm vs log lambda"), norms
 
 
 # ------------------------------------------------------ norm-growth study

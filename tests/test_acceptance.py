@@ -190,11 +190,16 @@ class TestLinearPropagator:
 
 
 class TestScalingExponent:
+    LAMBDAS = (0.5, 2.0 ** -0.5, 1.0, 2.0 ** 0.5, 2.0)
+    GRID = FrequencyGrid(length_x=64.0 * math.pi, length_y=64.0 * math.pi,
+                         modes_x=512, modes_y=1024)
+
     @pytest.mark.parametrize("s1,s2,target", [(0.0, 0.0, -1.25),
                                               (1.0, 0.0, -2.25)])
     def test_fitted_slope_matches_closed_form(self, s1, s2, target):
-        record = scaling_exponent_fit(S.DispersionParams(3.0),
-                                      AnisoIndex(s1, s2))
+        record, _ = scaling_exponent_fit(S.DispersionParams(3.0),
+                                         AnisoIndex(s1, s2), self.LAMBDAS,
+                                         self.GRID)
         assert record.comparator == pytest.approx(target, abs=1e-12)
         assert abs(record.measured - target) <= 0.02
         assert record.passed
@@ -242,7 +247,9 @@ P3 = S.DispersionParams(3.0)
 @functools.cache
 def linear_trend(shift):
     sweep = ProbeSweep(3.0, (8.0, 16.0, 32.0, 64.0, 128.0), 1, 0, (-INF, 0.1))
-    return linear_strichartz_sweep(P3, MixedNormSpec(4.0, 4.0), sweep,
+    grid = FrequencyGrid(length_x=2.0 * math.pi, length_y=2.0 * math.pi,
+                         modes_x=512, modes_y=64)
+    return linear_strichartz_sweep(P3, MixedNormSpec(4.0, 4.0), sweep, grid,
                                    comparator_shift=shift)[-1]
 
 
@@ -250,7 +257,10 @@ def linear_trend(shift):
 def lowfreq_trend(shift):
     sweep = ProbeSweep(3.0, tuple(2.0 ** -k for k in range(6, 0, -1)), 1, 0,
                        (-0.2, 0.2))
-    return lowfreq_l4_sweep(P3, sweep, comparator_shift=shift)[-1]
+    grid = FrequencyGrid(length_x=256.0 * math.pi, length_y=16.0 * math.pi,
+                         modes_x=512, modes_y=64)
+    return lowfreq_l4_sweep(P3, sweep, grid, eta_sigma=1.0,
+                            comparator_shift=shift)[-1]
 
 
 @functools.cache

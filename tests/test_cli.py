@@ -3,11 +3,16 @@
 import json
 import math
 import os
+import re
 
 import pytest
 
 import fkpi_lab.cli as cli
 from fkpi_lab.cli import COMMANDS, RunConfig, apply_overrides, main, parse_config
+from fkpi_lab.evolution import EvolutionConfig
+from fkpi_lab.grid import FrequencyGrid
+
+TWO_PI = 2.0 * math.pi
 
 
 def run_cli(*args):
@@ -40,7 +45,9 @@ class TestParseConfig:
         assert config.seed == 0
         assert config.format == "csv"
         assert config.output_dir == "fkpi-out"
-        assert config.grid is None and config.evolution is None
+        # the conserve row keeps the grid and evolution section defaults
+        assert config.grid == FrequencyGrid(TWO_PI, TWO_PI, 256, 256)
+        assert config.evolution == EvolutionConfig(1e-3, 1.0, "etdrk4", 50)
         assert config.probe is None
         assert config.sections["conserve"]["mass_tol"] == 1e-6
         assert config.sections["transversality"]["samples"] == 1000
@@ -135,8 +142,16 @@ class TestParseConfig:
         assert parse_config(text).probe.tolerance_band == (-0.2, 0.2)
 
     def test_probe_needs_dyadic_range(self):
+        # only where the command's row gives no canonical sweep
         with pytest.raises(ValueError, match="probe.dyadic_range"):
-            parse_config('{"command": "bilinear", "probe": {"tolerance_hi": 0.1}}')
+            parse_config('{"command": "conserve", "probe": {"tolerance_hi": 0.1}}')
+
+    def test_probe_section_completed_from_row(self):
+        config = parse_config('{"command": "bilinear", "probe": {"tolerance_hi": 0.3}}')
+        assert config.probe.dyadic_range == (8.0, 16.0, 32.0, 64.0)
+        assert config.probe.trials_per_point == 8
+        assert config.probe.tolerance_band == (-math.inf, 0.3)
+        assert config.echo["probe"]["trials_per_point"] == 8
 
     def test_echo_is_json_clean(self):
         config = parse_config(json.dumps(small_conserve_config()))
@@ -192,6 +207,13 @@ class TestHelp:
         text = cli.build_parser().format_help()
         for command in COMMANDS:
             assert command in text
+
+    def test_setup_table_printed(self):
+        text = cli.build_parser().format_help()
+        for command, regime in cli.SETUPS:
+            assert f"  {command} {regime or ''}" in text
+        assert "length_x=256pi length_y=16pi modes_x=512 modes_y=64" in text
+        assert "dyadic_range=[8.0, 16.0, 32.0, 64.0] trials_per_point=8" in text
 
 
 class TestRunArtifacts:
@@ -391,8 +413,8 @@ class TestSweepCommands:
         assert all(",true," in row for row in rows[1:])
 
 
-# Expected canonical outcome per SWEEPS row: --set overrides, exit status,
-# plot curve, its point count, and the slope record's probe name.
+# Expected canonical outcome per SETUPS sweep row: --set overrides, exit
+# status, plot curve, its point count, and the slope record's probe name.
 SWEEP_RUNS = {
     ("strichartz", "linear"): (
         ["strichartz.kind=linear"], 0, "linear_strichartz_band_n", 5,
@@ -410,20 +432,28 @@ SWEEP_RUNS = {
         "nonresonant_l1", 4, "nonresonant_slope"),
 }
 
+SMALL_EVOLUTION = ["grid.modes_x=32", "grid.modes_y=32"]
+
+# The same for the other rows: --set overrides, exit status, plot curves,
+# their point count, and the slope record's probe name.  simulate and
+# conserve keep the canonical evolution on a 32^2 grid.
 OTHER_PROBE_RUNS = {
-    "scaling": (0, "scaling_norm_lambda", 5, None),
-    "illposedness": (0, "illposedness_norm_N", 6, "illposedness_growth_slope"),
-    "resonance-scan": (2, None, 0, None),
+    "simulate": (SMALL_EVOLUTION, 0, ("energy_t", "mass_t"), 21, None),
+    "conserve": (SMALL_EVOLUTION, 0, ("energy_drift_t", "mass_drift_t"), 21,
+                 None),
+    "scaling": ([], 0, ("scaling_norm_lambda",), 5, None),
+    "illposedness": ([], 0, ("illposedness_norm_N",), 6,
+                     "illposedness_growth_slope"),
+    "resonance-scan": ([], 2, (), 0, None),
+    "transversality": ([], 0, (), 0, None),
 }
 
 
-def check_run_dir(out, curve, points, slope_probe):
+def check_run_dir(out, curves, points, slope_probe):
     plots = sorted(p.name for p in (out / "plotdata").iterdir())
-    if curve is None:
-        assert plots == []
-    else:
-        assert plots == [curve + ".dat"]
-        assert len((out / "plotdata" / plots[0]).read_text().splitlines()) == points
+    assert plots == [curve + ".dat" for curve in curves]
+    for plot in plots:
+        assert len((out / "plotdata" / plot).read_text().splitlines()) == points
     if slope_probe is None:
         assert not (out / "slopes.json").exists()
     else:
@@ -431,24 +461,122 @@ def check_run_dir(out, curve, points, slope_probe):
         assert [s["probe"] for s in slopes] == [slope_probe]
 
 
+def set_args(sets):
+    return [a for s in sets for a in ("--set", s)]
+
+
 class TestCanonicalProbeRuns:
     def test_every_sweep_row_covered(self):
-        assert set(SWEEP_RUNS) == set(cli.SWEEPS)
+        rows = set(SWEEP_RUNS) | {(command, None) for command in OTHER_PROBE_RUNS}
+        assert rows == set(cli.SETUPS)
+        assert {command for command, _ in cli.SETUPS} == set(COMMANDS)
 
     @pytest.mark.parametrize("key", list(SWEEP_RUNS), ids=lambda k: f"{k[0]}-{k[1]}")
     def test_sweep_row(self, tmp_path, key):
         sets, code, curve, points, slope_probe = SWEEP_RUNS[key]
         out = tmp_path / "out"
-        args = [a for s in sets for a in ("--set", s)]
-        assert run_cli(key[0], *args, "--output-dir", str(out)) == code
-        check_run_dir(out, curve, points, slope_probe)
+        assert run_cli(key[0], *set_args(sets), "--output-dir", str(out)) == code
+        check_run_dir(out, (curve,), points, slope_probe)
 
     @pytest.mark.parametrize("command", list(OTHER_PROBE_RUNS))
     def test_other_probe_command(self, tmp_path, command):
-        code, curve, points, slope_probe = OTHER_PROBE_RUNS[command]
+        sets, code, curves, points, slope_probe = OTHER_PROBE_RUNS[command]
         out = tmp_path / "out"
-        assert run_cli(command, "--output-dir", str(out)) == code
-        check_run_dir(out, curve, points, slope_probe)
+        assert run_cli(command, *set_args(sets), "--output-dir", str(out)) == code
+        check_run_dir(out, curves, points, slope_probe)
+
+    def test_advertised_negative_control_fails(self, tmp_path):
+        # the control value named in --help must flip the canonical run
+        help_text = cli.SCHEMA["strichartz"]["comparator_shift"].help
+        shift = re.search(r"negative control: (-[0-9.]+)", help_text).group(1)
+        out = tmp_path / "out"
+        code = run_cli("strichartz", "--set", f"strichartz.comparator_shift={shift}",
+                       "--output-dir", str(out))
+        assert code == 2
+        slope = json.loads((out / "slopes.json").read_text())[0]
+        assert slope["slope"] > slope["band_hi"] == 0.1
+
+
+LOWFREQ_RANGE = [0.015625, 0.03125, 0.0625, 0.125, 0.25, 0.5]
+
+
+class TestPartialSections:
+    """A partial grid or probe section is completed from the command's row,
+    not from the section defaults of SCHEMA."""
+
+    @pytest.mark.parametrize("sets, section, echoed", [
+        (["strichartz.kind=lowfreq", "grid.modes_x=1024"], "grid",
+         {"length_x": 256.0 * math.pi, "length_y": 16.0 * math.pi,
+          "modes_x": 1024, "modes_y": 64}),
+        (["grid.modes_y=128"], "grid",
+         {"length_x": TWO_PI, "length_y": TWO_PI, "modes_x": 512, "modes_y": 128}),
+        (["strichartz.kind=lowfreq", f"probe.dyadic_range={LOWFREQ_RANGE}"],
+         "probe", {"dyadic_range": LOWFREQ_RANGE, "trials_per_point": 1,
+                   "tolerance_lo": -0.2, "tolerance_hi": 0.2}),
+    ], ids=["lowfreq-grid", "linear-grid", "lowfreq-probe"])
+    def test_strichartz(self, tmp_path, sets, section, echoed):
+        out = tmp_path / "out"
+        assert run_cli("strichartz", *set_args(sets), "--output-dir", str(out)) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"][section] == echoed
+
+    def test_scaling_grid(self, tmp_path):
+        out = tmp_path / "out"
+        assert run_cli("scaling", "--set", "grid.modes_y=2048",
+                       "--output-dir", str(out)) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["grid"] == {
+            "length_x": 64.0 * math.pi, "length_y": 64.0 * math.pi,
+            "modes_x": 512, "modes_y": 2048}
+
+    def test_trilinear_probe_keeps_cap(self, tmp_path):
+        out = tmp_path / "out"
+        assert run_cli("trilinear", "--set", 'probe={"dyadic_range": [8, 16, 32, 64]}',
+                       "--output-dir", str(out)) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["probe"]["tolerance_hi"] == 0.2
+        assert json.loads((out / "slopes.json").read_text())[0]["band_hi"] == 0.2
+
+
+class TestPatchedNames:
+    """The benchmark's tracer replaces these cli attributes; each must be
+    looked up when a command runs, not bound when the table is built."""
+
+    RUNS = [
+        ("simulate", SMALL_EVOLUTION + ["evolution.T=0.01"]),
+        ("conserve", SMALL_EVOLUTION + ["evolution.T=0.01"]),
+        ("strichartz", ["grid.modes_x=128", "grid.modes_y=16", "strichartz.snapshots=8",
+                        "probe.dyadic_range=[2, 4, 8, 16]"]),
+        ("bilinear", ["bilinear.nk=8", "bilinear.nw=16", "bilinear.nx=16",
+                      "probe.trials_per_point=1"]),
+        ("trilinear", []),
+        ("scaling", []),
+        ("illposedness", ["illposedness.quad_res=8"]),
+        ("resonance-scan", ["scan.samples=100"]),
+        ("transversality", ["transversality.samples=50"]),
+    ]
+    NAMES = ("solve", "mass", "energy_alpha", "resonance_size_scan",
+             "transversality_check", "linear_strichartz_sweep", "bilinear_sweep",
+             "lw_band_sweep", "scaling_exponent_fit", "illposedness_growth_study")
+
+    def test_patches_take_effect(self, tmp_path, monkeypatch):
+        called = set()
+
+        def spy(name, fn):
+            def wrapped(*args, **kwargs):
+                called.add(name)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for name in self.NAMES:
+            monkeypatch.setattr(cli, name, spy(name, getattr(cli, name)))
+        for command, fn in list(cli.HANDLERS.items()):
+            monkeypatch.setitem(cli.HANDLERS, command, spy("handler:" + command, fn))
+        assert [c for c, _ in self.RUNS] == list(COMMANDS)
+        for command, sets in self.RUNS:
+            out = tmp_path / command
+            assert run_cli(command, *set_args(sets), "--output-dir", str(out)) in (0, 2)
+        assert called == set(self.NAMES) | {"handler:" + c for c in COMMANDS}
 
 
 class TestWorkerInvariance:

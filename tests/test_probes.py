@@ -571,40 +571,51 @@ class TestNonresonantRatio:
 
 
 class TestScalingFit:
+    LAMBDAS = (0.5, 2.0 ** -0.5, 1.0, 2.0 ** 0.5, 2.0)
+    GRID = FrequencyGrid(length_x=64.0 * math.pi, length_y=64.0 * math.pi,
+                         modes_x=512, modes_y=1024)
+
     def test_identity_scale_matches_gaussian_closed_form(self):
-        g = FrequencyGrid(length_x=64.0 * math.pi, length_y=64.0 * math.pi,
-                          modes_x=512, modes_y=1024)
-        lattice, analytic = pr.scaling_norm_pair(P3, AnisoIndex(0.0, 0.0), 1.0, g)
+        lattice, analytic = pr.scaling_norm_pair(P3, AnisoIndex(0.0, 0.0), 1.0,
+                                                 self.GRID)
         assert analytic == pytest.approx(math.sqrt(math.pi / 2.0), rel=1e-12)
         assert lattice == pytest.approx(analytic, rel=1e-6)
 
     def test_fitted_slope_hits_target(self):
-        rec = pr.scaling_exponent_fit(P3, AnisoIndex(0.0, 0.0))
+        rec, norms = pr.scaling_exponent_fit(P3, AnisoIndex(0.0, 0.0),
+                                             self.LAMBDAS, self.GRID)
         assert rec.passed
         assert rec.comparator == pytest.approx(-1.25)
         assert abs(rec.measured - rec.comparator) <= 0.02
+        # the returned norms are the lattice norms the slope was fitted to
+        assert norms == [pr.scaling_norm_pair(P3, AnisoIndex(0.0, 0.0), lam,
+                                              self.GRID)[0]
+                         for lam in self.LAMBDAS]
+        assert rec.measured == pr.fit_loglog_slope(self.LAMBDAS, norms)
 
     def test_weight_floor(self):
         with pytest.raises(ValueError, match="floor"):
-            pr.scaling_exponent_fit(P3, AnisoIndex(-1.5, 0.0))
+            pr.scaling_exponent_fit(P3, AnisoIndex(-1.5, 0.0), self.LAMBDAS,
+                                    self.GRID)
         with pytest.raises(ValueError, match="floor"):
-            pr.scaling_exponent_fit(P3, AnisoIndex(0.0, -0.5))
+            pr.scaling_exponent_fit(P3, AnisoIndex(0.0, -0.5), self.LAMBDAS,
+                                    self.GRID)
 
     def test_needs_four_lambdas(self):
         with pytest.raises(ValueError, match="4 lambda"):
             pr.scaling_exponent_fit(P3, AnisoIndex(0.0, 0.0),
-                                    lambdas=(0.5, 1.0, 2.0))
+                                    lambdas=(0.5, 1.0, 2.0), grid=self.GRID)
 
     def test_rejects_nonpositive_lambda(self):
         with pytest.raises(ValueError, match="positive"):
             pr.scaling_exponent_fit(P3, AnisoIndex(0.0, 0.0),
-                                    lambdas=(-1.0, 0.5, 1.0, 2.0))
+                                    lambdas=(-1.0, 0.5, 1.0, 2.0), grid=self.GRID)
 
     def test_resolution_loss_raises(self):
         g = FrequencyGrid(length_x=TWO_PI, length_y=TWO_PI,
                           modes_x=64, modes_y=16)
         with pytest.raises(ValueError, match="resolution loss"):
-            pr.scaling_exponent_fit(P3, AnisoIndex(0.0, 0.0), grid=g)
+            pr.scaling_exponent_fit(P3, AnisoIndex(0.0, 0.0), self.LAMBDAS, grid=g)
 
 
 # ------------------------------------------------------------- growth study
