@@ -17,13 +17,10 @@ from .grid import (
     dealiased_product,
     fractional_x_derivative,
     load_field,
-    project_dyadic,
     save_field,
     to_physical,
     to_spectral,
-    x_antiderivative,
     x_derivative,
-    y_derivative,
 )
 from .symbols import (
     DispersionParams,
@@ -87,7 +84,6 @@ __all__ = [
     "lw_modulation_sweep",
     "mass",
     "nonresonant_modulation_sweep",
-    "project_dyadic",
     "propagate_linear",
     "resonance_size_scan",
     "save_field",
@@ -104,8 +100,6 @@ __all__ = [
     "trilinear_integral",
     "write_records_csv",
     "write_records_jsonl",
-    "x_antiderivative",
     "x_derivative",
-    "y_derivative",
     "__version__",
 ]

@@ -83,7 +83,8 @@ SCHEMA = {
         "dyadic_range": _Key(None, "float_list",
                              "sweep points (powers of two, ascending); "
                              "null = the command's canonical sweep"),
-        "trials_per_point": _Key(4, "int", "random trials averaged per point"),
+        "trials_per_point": _Key(4, "int", "random trials averaged per "
+                                 "point; strichartz takes only 1"),
         "tolerance_lo": _Key(None, "float_or_null",
                              "slope band floor; null = one-sided"),
         "tolerance_hi": _Key(0.1, "float", "slope band cap"),
@@ -302,7 +303,7 @@ def _build_config(raw, command):
     probe = None
     if p["dyadic_range"] is not None:
         lo = -math.inf if p["tolerance_lo"] is None else p["tolerance_lo"]
-        probe = ProbeSweep(alpha=alpha, dyadic_range=p["dyadic_range"],
+        probe = ProbeSweep(dyadic_range=p["dyadic_range"],
                            trials_per_point=p["trials_per_point"], seed=seed,
                            tolerance_band=(lo, p["tolerance_hi"]))
     elif "probe" in cfg:

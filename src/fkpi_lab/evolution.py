@@ -66,16 +66,9 @@ class EvolutionConfig:
 
 @dataclass
 class Trajectory:
-    alpha: float
     config: EvolutionConfig
     times: list
     fields: list
-
-    def __iter__(self):
-        return iter(zip(self.times, self.fields))
-
-    def __len__(self):
-        return len(self.times)
 
 
 @lru_cache(maxsize=16)
@@ -138,10 +131,9 @@ def _etdrk4_tables(grid, alpha, dt):
         t.flags.writeable = False
     return tables
 
-def _etdrk4_step(params, field, dt, nonlinear):
+
+def _etdrk4_step(params, field, dt):
     e_full, e_half, q, f1, f2, f3 = _etdrk4_tables(field.grid, params.alpha, dt)
-    if not nonlinear:
-        return trusted_field(field.grid, field.coeffs * e_full)
     u = field.coeffs
     n_u = nonlinearity(params, field).coeffs
     a = e_half * u + q * n_u
@@ -154,26 +146,25 @@ def _etdrk4_step(params, field, dt, nonlinear):
     return trusted_field(field.grid, out)
 
 
-def _strang_step(params, field, dt, nonlinear):
+def _strang_step(params, field, dt):
     half = propagate_linear(params, field, dt / 2.0)
-    if nonlinear:
-        # explicit midpoint for the Burgers substep
-        k1 = nonlinearity(params, half)
-        mid = half + (dt / 2.0) * k1
-        k2 = nonlinearity(params, mid)
-        half = half + dt * k2
+    # explicit midpoint for the Burgers substep
+    k1 = nonlinearity(params, half)
+    mid = half + (dt / 2.0) * k1
+    k2 = nonlinearity(params, mid)
+    half = half + dt * k2
     return propagate_linear(params, half, dt / 2.0)
 
 
-def step(params, field, config, nonlinear=True):
+def step(params, field, config):
     """Advance one time step of config.dt with config.scheme."""
     require_zero_x_mean(field, "time step")
     if config.scheme == "etdrk4":
-        return _etdrk4_step(params, field, config.dt, nonlinear)
-    return _strang_step(params, field, config.dt, nonlinear)
+        return _etdrk4_step(params, field, config.dt)
+    return _strang_step(params, field, config.dt)
 
 
-def solve(params, u0, config, nonlinear=True):
+def solve(params, u0, config):
     """March to T = config.T, recording every snapshot_stride-th state.
 
     The initial state and the final state are always recorded.  Raises
@@ -185,13 +176,13 @@ def solve(params, u0, config, nonlinear=True):
     fields = [u0]
     u = u0
     for i in range(1, n + 1):
-        u = step(params, u, config, nonlinear=nonlinear)
+        u = step(params, u, config)
         if not np.all(np.isfinite(u.coeffs)):
             raise BlowupError(i, i * config.dt)
         if i % config.snapshot_stride == 0 or i == n:
             times.append(i * config.dt)
             fields.append(u)
-    return Trajectory(alpha=params.alpha, config=config, times=times, fields=fields)
+    return Trajectory(config=config, times=times, fields=fields)
 
 
 # ------------------------------------------------------------------- Picard

@@ -225,19 +225,6 @@ def x_derivative(field):
     return trusted_field(field.grid, field.coeffs * (1j * field.grid.xi_grid))
 
 
-def y_derivative(field):
-    return trusted_field(field.grid, field.coeffs * (1j * field.grid.eta_grid))
-
-
-def x_antiderivative(field):
-    """Inverse x-derivative. Defined only on zero-x-mean fields."""
-    require_zero_x_mean(field, "x_antiderivative")
-    xi = field.grid.xi_grid
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mult = np.where(xi != 0.0, 1.0 / (1j * xi), 0.0)
-    return trusted_field(field.grid, field.coeffs * mult)
-
-
 def fractional_x_derivative(field, s):
     """|D_x|^s: multiply coefficients by |xi|^s. Negative s needs zero x-mean."""
     if s == 0:
@@ -255,15 +242,6 @@ def is_dyadic(value):
     if value <= 0.0 or not math.isfinite(value):
         return False
     return math.frexp(value)[0] == 0.5
-
-
-def project_dyadic(field, n):
-    """Sharp Littlewood-Paley piece: keep n/2 < |xi| <= n, n a power of two."""
-    if not is_dyadic(n):
-        raise ValueError(f"dyadic band requires a positive power of two, got {n}")
-    a = np.abs(field.grid.xi_grid)
-    mask = (a > n / 2.0) & (a <= n)
-    return trusted_field(field.grid, field.coeffs * mask.astype(float))
 
 
 def dealiased_product(f, g):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import plane_residual, require_zero_x_mean, to_physical, trusted_field
+from .grid import plane_residual, to_physical, trusted_field
 
 
 @dataclass(frozen=True)
@@ -94,24 +94,13 @@ def quadratic_energy(params, field):
     return _quadratic_terms(params, field)
 
 
-def sobolev_aniso(field, idx, homogeneous=False):
-    """Anisotropic Sobolev norm with weight (1+xi^2)^{s1/2} (1+eta^2)^{s2/2},
-    or |xi|^{s1} |eta|^{s2} in the homogeneous variant."""
+def sobolev_aniso(field, idx):
+    """Anisotropic Sobolev norm with weight (1+xi^2)^{s1/2} (1+eta^2)^{s2/2}."""
     grid = field.grid
     xi, eta = grid.xi_grid, grid.eta_grid
     c2 = np.abs(field.coeffs) ** 2
-    if not homogeneous:
-        w2 = (1.0 + xi * xi) ** idx.s1 * (1.0 + eta * eta) ** idx.s2
-        return math.sqrt(float(np.sum(w2 * c2)) / _vol(grid))
-    if idx.s1 < 0:
-        require_zero_x_mean(field, f"homogeneous norm with s1={idx.s1}")
-    if idx.s2 < 0 and plane_residual(field, (slice(None), 0)):
-        raise ValueError(
-            f"homogeneous norm with s2={idx.s2} requires zero content at eta=0")
-    with np.errstate(divide="ignore"):
-        wx = np.where(xi != 0.0, np.abs(xi) ** idx.s1, 0.0 if idx.s1 != 0 else 1.0)
-        wy = np.where(eta != 0.0, np.abs(eta) ** idx.s2, 0.0 if idx.s2 != 0 else 1.0)
-    return math.sqrt(float(np.sum((wx * wy) ** 2 * c2)) / _vol(grid))
+    w2 = (1.0 + xi * xi) ** idx.s1 * (1.0 + eta * eta) ** idx.s2
+    return math.sqrt(float(np.sum(w2 * c2)) / _vol(grid))
 
 
 def _lr_norm(field, r):

@@ -105,12 +105,6 @@ def normal_determinant_numeric_arrays(alpha, xi1, eta1, xi2, eta2):
 
 @dataclass(frozen=True)
 class ResonanceScanReport:
-    alpha: float
-    N: float
-    gamma: float
-    theta: float
-    samples: int
-    seed: int
     omega1_ratio_min: float
     omega1_ratio_max: float
     omega_ratio_min: float
@@ -130,25 +124,20 @@ def interaction_boxes(alpha, N, gamma):
     return box1, box2
 
 
-def _validate_scan_geometry(alpha, N, gamma):
+def resonance_size_scan(params, N, gamma, samples=10000, seed=0):
+    """Sample D~1 x D~2 uniformly and measure both resonance size laws."""
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     if N < 2.0:
         raise ValueError(f"N must be >= 2 (asymptotic box separation), got {N}")
     if gamma <= 0.0:
         raise ValueError(f"gamma must be positive, got {gamma}")
+    alpha = params.alpha
     theta = -math.log(gamma) / math.log(N) - (alpha - 1.0) / 2.0
     if theta <= 0.0:
         raise ValueError(
             f"gamma={gamma} is too large for N={N}: requires gamma < N^(-(alpha-1)/2)"
         )
-    return theta
-
-
-def resonance_size_scan(params, N, gamma, samples=10000, seed=0):
-    """Sample D~1 x D~2 uniformly and measure both resonance size laws."""
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    alpha = params.alpha
-    theta = _validate_scan_geometry(alpha, N, gamma)
     (x1r, e1r), (x2r, e2r) = interaction_boxes(alpha, N, gamma)
     rng = np.random.default_rng(seed)
     xi1 = rng.uniform(*x1r, size=samples)
@@ -160,8 +149,6 @@ def resonance_size_scan(params, N, gamma, samples=10000, seed=0):
     r1 = np.abs(om1) / (N ** alpha * gamma)
     r2 = np.abs(om) / (N ** (alpha - 1.0) * gamma ** 2)
     return ResonanceScanReport(
-        alpha=alpha, N=float(N), gamma=float(gamma), theta=theta,
-        samples=samples, seed=seed,
         omega1_ratio_min=float(r1.min()), omega1_ratio_max=float(r1.max()),
         omega_ratio_min=float(r2.min()), omega_ratio_max=float(r2.max()),
     )
@@ -224,12 +211,6 @@ def sample_resonant_pairs(params, n_max, n_min, count, rng, c=0.1, max_rounds=64
 
 @dataclass(frozen=True)
 class TransversalityReport:
-    alpha: float
-    n_max: float
-    n_min: float
-    c: float
-    samples: int
-    seed: int
     cross_ratio_min: float
     cross_ratio_max: float
     slope_gap_ratio_min: float
@@ -259,8 +240,6 @@ def transversality_check(params, n_max, n_min, samples=1000, seed=0, c=0.1):
     if not np.all(grad_gap >= slope_gap):
         raise AssertionError("gradient gap fell below the slope-gap lower bound")
     return TransversalityReport(
-        alpha=alpha, n_max=float(n_max), n_min=float(n_min), c=c,
-        samples=samples, seed=seed,
         cross_ratio_min=float(r1.min()), cross_ratio_max=float(r1.max()),
         slope_gap_ratio_min=float(r2.min()), slope_gap_ratio_max=float(r2.max()),
     )

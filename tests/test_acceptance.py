@@ -246,7 +246,7 @@ P3 = S.DispersionParams(3.0)
 
 @functools.cache
 def linear_trend(shift):
-    sweep = ProbeSweep(3.0, (8.0, 16.0, 32.0, 64.0, 128.0), 1, 0, (-INF, 0.1))
+    sweep = ProbeSweep((8.0, 16.0, 32.0, 64.0, 128.0), 1, 0, (-INF, 0.1))
     grid = FrequencyGrid(length_x=2.0 * math.pi, length_y=2.0 * math.pi,
                          modes_x=512, modes_y=64)
     return linear_strichartz_sweep(P3, MixedNormSpec(4.0, 4.0), sweep, grid,
@@ -255,7 +255,7 @@ def linear_trend(shift):
 
 @functools.cache
 def lowfreq_trend(shift):
-    sweep = ProbeSweep(3.0, tuple(2.0 ** -k for k in range(6, 0, -1)), 1, 0,
+    sweep = ProbeSweep(tuple(2.0 ** -k for k in range(6, 0, -1)), 1, 0,
                        (-0.2, 0.2))
     grid = FrequencyGrid(length_x=256.0 * math.pi, length_y=16.0 * math.pi,
                          modes_x=512, modes_y=64)
@@ -265,14 +265,14 @@ def lowfreq_trend(shift):
 
 @functools.cache
 def bilinear_trend(shift):
-    sweep = ProbeSweep(3.0, (8.0, 16.0, 32.0, 64.0), 8, 0, (-INF, 0.1))
+    sweep = ProbeSweep((8.0, 16.0, 32.0, 64.0), 8, 0, (-INF, 0.1))
     return bilinear_sweep(P3, 2.0, sweep, workers=4, comparator_shift=shift)[-1]
 
 
 @functools.cache
 def lattice_trends():
-    bands = ProbeSweep(3.0, (8.0, 16.0, 32.0, 64.0), 4, 0, (-INF, 0.2))
-    widths = ProbeSweep(3.0, (1.0, 2.0, 4.0, 8.0), 4, 0, (-INF, 0.2))
+    bands = ProbeSweep((8.0, 16.0, 32.0, 64.0), 4, 0, (-INF, 0.2))
+    widths = ProbeSweep((1.0, 2.0, 4.0, 8.0), 4, 0, (-INF, 0.2))
     return (
         lw_band_sweep(P3, 2.0, bands)[-1],
         lw_modulation_sweep(P3, 8.0, 2.0, widths)[-1],

@@ -1,8 +1,11 @@
 """Config parsing, artifact layout, exit codes, and rerun determinism."""
 
+import ast
+import importlib
 import json
 import math
 import os
+import pathlib
 import re
 
 import pytest
@@ -354,6 +357,17 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not (out / "records.csv").exists()
 
+    @pytest.mark.parametrize("kind", ["linear", "lowfreq"])
+    def test_strichartz_trials_exit_1_without_records(self, tmp_path, capsys, kind):
+        # the Strichartz points are deterministic: a trial count would be ignored
+        out = tmp_path / "out"
+        assert run_cli("strichartz", "--set", f"strichartz.kind={kind}",
+                       "--set", "probe.trials_per_point=4",
+                       "--output-dir", str(out)) == 1
+        assert ("trials_per_point must be 1 for the Strichartz sweeps, got 4: "
+                "their points are deterministic") in capsys.readouterr().err
+        assert not (out / "records.csv").exists()
+
     def test_command_line_set_override(self, tmp_path):
         cfg = write_config(tmp_path, small_conserve_config())
         out = tmp_path / "out"
@@ -538,12 +552,23 @@ class TestPartialSections:
         assert json.loads((out / "slopes.json").read_text())[0]["band_hi"] == 0.2
 
 
+def tracer_patches():
+    """(module, attribute) pairs of FUNCTION_PATCHES in perfbench/tracer.py."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    for node in ast.parse(path.read_text()).body:
+        if (isinstance(node, ast.Assign)
+                and getattr(node.targets[0], "id", None) == "FUNCTION_PATCHES"):
+            return {(module, attr) for module, attr, _ in ast.literal_eval(node.value)}
+    raise AssertionError("FUNCTION_PATCHES not found")
+
+
 class TestPatchedNames:
-    """The benchmark's tracer replaces these cli attributes; each must be
-    looked up when a command runs, not bound when the table is built."""
+    """The benchmark's tracer replaces these module attributes; each must be
+    looked up when a command runs, not bound when a module or the table is
+    built.  The runs go through parse_config and run, as the benchmark's do."""
 
     RUNS = [
-        ("simulate", SMALL_EVOLUTION + ["evolution.T=0.01"]),
+        ("simulate", SMALL_EVOLUTION + ["evolution.T=0.01", "evolution.scheme=strang"]),
         ("conserve", SMALL_EVOLUTION + ["evolution.T=0.01"]),
         ("strichartz", ["grid.modes_x=128", "grid.modes_y=16", "strichartz.snapshots=8",
                         "probe.dyadic_range=[2, 4, 8, 16]"]),
@@ -568,15 +593,20 @@ class TestPatchedNames:
                 return fn(*args, **kwargs)
             return wrapped
 
-        for name in self.NAMES:
-            monkeypatch.setattr(cli, name, spy(name, getattr(cli, name)))
+        targets = ({("cli", name) for name in self.NAMES} | tracer_patches()
+                   | {("probes", "_run_points")})
+        for module_name, attr in targets:
+            module = importlib.import_module("fkpi_lab." + module_name)
+            monkeypatch.setattr(module, attr, spy((module_name, attr),
+                                                  getattr(module, attr)))
         for command, fn in list(cli.HANDLERS.items()):
             monkeypatch.setitem(cli.HANDLERS, command, spy("handler:" + command, fn))
         assert [c for c, _ in self.RUNS] == list(COMMANDS)
         for command, sets in self.RUNS:
-            out = tmp_path / command
-            assert run_cli(command, *set_args(sets), "--output-dir", str(out)) in (0, 2)
-        assert called == set(self.NAMES) | {"handler:" + c for c in COMMANDS}
+            raw = apply_overrides({"output_dir": str(tmp_path / command)}, sets)
+            config = cli.parse_config(json.dumps(raw), command)
+            assert cli.run(config) in (0, 2)
+        assert called == targets | {"handler:" + c for c in COMMANDS}
 
 
 class TestWorkerInvariance:

@@ -141,36 +141,6 @@ class TestDerivatives:
         assert errs[0] < 0.1
         assert errs[0] / errs[1] > 3.0  # second order
 
-    def test_y_derivative_oracle(self):
-        g = small_grid(64)
-        x, y = g.x[:, None], g.y[None, :]
-        u = np.sin(2 * x) * np.exp(np.cos(y))
-        f = G.to_spectral(u, g)
-        dv = G.to_physical(G.y_derivative(f))
-        fd = (np.roll(u, -1, axis=1) - np.roll(u, 1, axis=1)) / (2 * g.dy)
-        assert np.max(np.abs(dv - fd)) < 4.0 * g.dy ** 2 * np.max(np.abs(u)) * 8
-
-    def test_antiderivative_inverts_derivative(self):
-        f = random_real_field(small_grid(), seed=2, zero_x_mean=True)
-        g2 = G.x_antiderivative(G.x_derivative(f))
-        assert np.max(np.abs(g2.coeffs - f.coeffs)) < 1e-12
-
-    def test_antiderivative_unit_mode(self):
-        g = small_grid(16)
-        c = np.zeros((16, 16), dtype=complex)
-        c[1, 3] = c[-1, -3] = 1.0
-        anti = G.x_antiderivative(G.SpectralField(g, c))
-        expect = g.length_x / (2j * math.pi)
-        assert abs(anti.coeffs[1, 3] - expect) < 1e-14
-
-    def test_antiderivative_rejects_x_mean(self):
-        g = small_grid(16)
-        c = np.zeros((16, 16), dtype=complex)
-        c[0, 1] = 1e-6
-        c[0, -1] = 1e-6
-        with pytest.raises(ValueError, match="zero x-mean"):
-            G.x_antiderivative(G.SpectralField(g, c))
-
 
 class TestFractional:
     def test_identity_at_zero(self):
@@ -198,32 +168,9 @@ class TestFractional:
 
 
 class TestDyadic:
-    def test_band_validation(self):
-        f = random_real_field(small_grid(16), seed=9)
-        with pytest.raises(ValueError, match="power of two"):
-            G.project_dyadic(f, 3.0)
-        with pytest.raises(ValueError, match="power of two"):
-            G.project_dyadic(f, 0.0)
+    def test_is_dyadic(self):
         assert G.is_dyadic(0.5)
         assert not any(G.is_dyadic(v) for v in (3.0, 0.0, -2.0, math.inf, math.nan))
-
-    def test_projection_sharp_window(self):
-        g = small_grid(16)
-        c = np.zeros((16, 16), dtype=complex)
-        c[3, 1] = 1.0
-        c[-3, -1] = 1.0
-        f = G.SpectralField(g, c)
-        p4 = G.project_dyadic(f, 4.0)
-        p2 = G.project_dyadic(f, 2.0)
-        assert np.array_equal(p4.coeffs, f.coeffs)
-        assert np.max(np.abs(p2.coeffs)) == 0.0
-
-    def test_partition_of_unity(self):
-        f = random_real_field(small_grid(16), seed=9, zero_x_mean=True)
-        total = np.zeros_like(f.coeffs)
-        for n in (1.0, 2.0, 4.0, 8.0, 16.0):
-            total = total + G.project_dyadic(f, n).coeffs
-        assert np.array_equal(total, f.coeffs)
 
 
 class TestProduct:
@@ -289,10 +236,7 @@ class TestAlgebraicInvariants:
     def ops(self):
         return [
             ("dx", G.x_derivative),
-            ("dy", G.y_derivative),
             ("frac", lambda f: G.fractional_x_derivative(f, 1.3)),
-            ("proj", lambda f: G.project_dyadic(f, 4.0)),
-            ("anti", G.x_antiderivative),
         ]
 
     def test_multiplier_ops_commute(self):
