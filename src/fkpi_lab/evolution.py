@@ -7,7 +7,8 @@ for the second iterate launched from the thin-box data that drives the
 quadratic norm-growth mechanism.
 
 The linear multiplier is the pure phase e^{i t omega(xi, eta)}; every
-scheme here works on Fourier coefficients directly.  Evolution requires
+scheme here works on the stored half spectrum of Fourier coefficients
+directly, with multipliers tabulated on the same half.  Evolution requires
 zero x-mean data (the antiderivative in the symbol), and the nonlinearity
 preserves that exactly since it is a total x-derivative.
 """
@@ -21,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .grid import dealiased_product, require_zero_x_mean, trusted_field, x_derivative
+from .grid import dealiased_product, require_zero_x_mean, trusted_field
 from .symbols import interaction_boxes, omega_arrays, resonance_arrays
 
 SCHEMES = ("etdrk4", "strang")
@@ -73,25 +74,35 @@ class Trajectory:
 
 @lru_cache(maxsize=16)
 def _omega_grid(grid, alpha):
-    xi = grid.xi_grid
+    """omega on the half spectrum, shape grid.half_shape."""
+    xi = grid.xi_half
     # omega is singular on the xi = 0 plane, which carries no zero-x-mean data
     om = np.where(xi != 0.0,
-                  omega_arrays(alpha, np.where(xi != 0.0, xi, 1.0), grid.eta_grid),
+                  omega_arrays(alpha, np.where(xi != 0.0, xi, 1.0), grid.eta_half),
                   0.0)
     om.flags.writeable = False
     return om
+
+
+@lru_cache(maxsize=16)
+def _burgers_multiplier(grid):
+    """0.5 i xi: the derivative and the 1/2 of N(u) = 1/2 d/dx (u^2)."""
+    mult = 0.5j * grid.xi_half
+    mult.flags.writeable = False
+    return mult
 
 
 def propagate_linear(params, field, t):
     """Apply the free group e^{i t omega}. Isometric on every multiplier norm."""
     require_zero_x_mean(field, "propagate_linear")
     om = _omega_grid(field.grid, params.alpha)
-    return trusted_field(field.grid, field.coeffs * np.exp(1j * t * om))
+    return trusted_field(field.grid, field.half * np.exp(1j * t * om))
 
 
 def nonlinearity(params, field):
     """N(u) = 1/2 d/dx (u^2), 2/3-rule dealiased. Exactly zero x-mean."""
-    return x_derivative(dealiased_product(field, field)) * 0.5
+    square = dealiased_product(field, field)
+    return trusted_field(field.grid, square.half * _burgers_multiplier(field.grid))
 
 
 def _phi(z, k):
@@ -134,14 +145,15 @@ def _etdrk4_tables(grid, alpha, dt):
 
 def _etdrk4_step(params, field, dt):
     e_full, e_half, q, f1, f2, f3 = _etdrk4_tables(field.grid, params.alpha, dt)
-    u = field.coeffs
-    n_u = nonlinearity(params, field).coeffs
-    a = e_half * u + q * n_u
-    n_a = nonlinearity(params, trusted_field(field.grid, a)).coeffs
-    b = e_half * u + q * n_a
-    n_b = nonlinearity(params, trusted_field(field.grid, b)).coeffs
+    u = field.half
+    eu = e_half * u
+    n_u = nonlinearity(params, field).half
+    a = eu + q * n_u
+    n_a = nonlinearity(params, trusted_field(field.grid, a)).half
+    b = eu + q * n_a
+    n_b = nonlinearity(params, trusted_field(field.grid, b)).half
     c = e_half * a + q * (2.0 * n_b - n_u)
-    n_c = nonlinearity(params, trusted_field(field.grid, c)).coeffs
+    n_c = nonlinearity(params, trusted_field(field.grid, c)).half
     out = e_full * u + f1 * n_u + 2.0 * f2 * (n_a + n_b) + f3 * n_c
     return trusted_field(field.grid, out)
 
@@ -177,7 +189,7 @@ def solve(params, u0, config):
     u = u0
     for i in range(1, n + 1):
         u = step(params, u, config)
-        if not np.all(np.isfinite(u.coeffs)):
+        if not np.all(np.isfinite(u.half)):
             raise BlowupError(i, i * config.dt)
         if i % config.snapshot_stride == 0 or i == n:
             times.append(i * config.dt)
@@ -224,20 +236,22 @@ def picard_iterate(params, u0, k, T, dt):
         raise ValueError(f"dt={dt} does not divide T={T}")
     if k == 0 or T == 0.0:
         return propagate_linear(params, u0, T)
-    om = _omega_grid(u0.grid, params.alpha)
-    times = np.arange(n + 1) * dt
-    phases = np.exp(1j * times[:, None, None] * om[None, :, :])
+    grid = u0.grid
+    om = _omega_grid(grid, params.alpha)
     w = _prefix_weights(n, dt)
-    # v^j holds interaction-picture coefficients at every node
-    v = np.broadcast_to(u0.coeffs, (n + 1,) + u0.coeffs.shape).copy()
+    # v^j holds interaction-picture half spectra at every node
+    v = np.repeat(u0.half[None], n + 1, axis=0)
     for _ in range(k):
-        g = np.empty_like(v)
+        # the integrand at node i overwrites v[i] once read, and each node's
+        # phase is made when needed: the only stacks of n + 1 nodes are v
+        # and the quadrature's result
         for i in range(n + 1):
-            ui = trusted_field(u0.grid, v[i] * phases[i])
-            g[i] = np.conj(phases[i]) * nonlinearity(params, ui).coeffs
-        integrals = np.tensordot(w, g, axes=(1, 0))
-        v = u0.coeffs[None, :, :] + integrals
-    return trusted_field(u0.grid, v[n] * phases[n])
+            phase = np.exp(1j * (i * dt) * om)
+            ui = trusted_field(grid, v[i] * phase)
+            v[i] = np.conj(phase) * nonlinearity(params, ui).half
+        v = np.tensordot(w, v, axes=(1, 0))
+        v += u0.half
+    return trusted_field(grid, v[n] * np.exp(1j * (n * dt) * om))
 
 
 # ------------------------------------------- second iterate from box data

@@ -14,10 +14,17 @@ so that Parseval reads  integral |u|^2 dx dy = sum |coeffs|^2 / (Lx*Ly)
 and coefficient magnitudes of a fixed profile are independent of the box
 size.  Inversion uses the e^{+i(x xi + y eta)} convention.
 
-Fields are real: coeffs(-k) = conj(coeffs(k)) is checked and folded to the
-last bit where data enters (SpectralField, to_spectral, load_field), and
-real transforms and exactly Hermitian multipliers keep it exact after.  The
-Nyquist row/column is zero (it has no symmetric partner on an even grid).
+Fields are real, so coeffs(-k) = conj(coeffs(k)) and half the spectrum
+determines the rest.  A SpectralField stores only the rfft2 half,
+`half = coeffs[:, :modes_y//2 + 1]`, and every solver, product and
+diagnostic works on it.  `coeffs` is the full (modes_x, modes_y) spectrum
+as a derived view: it is rebuilt from the half on each access and never
+kept.  Hermitian symmetry is checked and folded to the last bit where data
+enters (SpectralField, to_spectral, load_field); on the half that leaves
+one condition, an exactly Hermitian eta = 0 column, which real transforms
+and exactly Hermitian multipliers keep after.  The Nyquist row/column is
+zero (it has no symmetric partner on an even grid).  The FKPI1 file format
+holds the full spectrum, as it always has.
 """
 
 from __future__ import annotations
@@ -89,18 +96,47 @@ class FrequencyGrid:
         return np.meshgrid(self.xi, self.eta, indexing="ij")[1]
 
     @cached_property
+    def half_shape(self):
+        """Shape of a stored field: all xi rows, eta columns 0..modes_y/2."""
+        return (self.modes_x, self.modes_y // 2 + 1)
+
+    @cached_property
+    def xi_half(self):
+        """xi as a (modes_x, 1) column; it broadcasts over a half spectrum."""
+        return self.xi[:, None]
+
+    @cached_property
+    def eta_half(self):
+        """eta of the half's columns as a (1, modes_y/2 + 1) row."""
+        return self.eta[None, : self.half_shape[1]]
+
+    @cached_property
+    def half_weight(self):
+        """Multiplicity of each half-spectrum column in a full-spectrum sum:
+        1 for eta = 0, 2 for the columns whose mirror lies in eta < 0."""
+        w = np.full(self.half_shape[1], 2.0)
+        w[0] = 1.0
+        return w
+
+    @cached_property
     def dealias_mask(self):
-        """Two-thirds rule mask: True on retained (index) modes.
+        """Two-thirds rule mask on the half spectrum: True on retained modes.
 
         Retains |k| <= (M-1)//3 so that 3*kmax < M strictly; at the exact
         M/3 boundary a product of two retained modes would alias back onto
         a retained one.
         """
         kx = np.fft.fftfreq(self.modes_x, d=1.0 / self.modes_x)
-        ky = np.fft.fftfreq(self.modes_y, d=1.0 / self.modes_y)
+        ky = np.fft.fftfreq(self.modes_y, d=1.0 / self.modes_y)[: self.half_shape[1]]
         keep_x = np.abs(kx) <= (self.modes_x - 1) // 3
         keep_y = np.abs(ky) <= (self.modes_y - 1) // 3
         return np.outer(keep_x, keep_y)
+
+    @cached_property
+    def product_scale(self):
+        """dealias_mask / cell_area: truncates a product's rfft2 and restores
+        the coefficient normalization in one multiply."""
+        return self.dealias_mask / self.cell_area
 
     @cached_property
     def cell_area(self):
@@ -117,19 +153,24 @@ def hermitian_defect(coeffs):
     return float(np.max(np.abs(coeffs - np.conj(_reflect(coeffs)))))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class SpectralField:
-    """A real field held by its Fourier coefficients on a FrequencyGrid.
+    """A real field held by the rfft2 half of its Fourier coefficients.
 
-    The constructor rejects grossly asymmetric input and folds the
-    remainder, so Hermitian symmetry holds to the last bit afterwards.
+    SpectralField(grid, coeffs) takes a full spectrum: it rejects grossly
+    asymmetric input, zeroes the Nyquist planes, folds the remainder to
+    exact Hermitian symmetry and keeps the half.
     """
 
     grid: FrequencyGrid
-    coeffs: np.ndarray
+    half: np.ndarray
 
-    def __post_init__(self):
-        c = np.array(self.coeffs, dtype=np.complex128)
+    def __init__(self, grid, coeffs):
+        object.__setattr__(self, "grid", grid)
+        self.__post_init__(coeffs)
+
+    def __post_init__(self, coeffs):
+        c = np.array(coeffs, dtype=np.complex128)
         shape = (self.grid.modes_x, self.grid.modes_y)
         if c.shape != shape:
             raise ValueError(f"coefficient shape {c.shape} does not match grid {shape}")
@@ -142,33 +183,43 @@ class SpectralField:
                 f"coefficients violate Hermitian symmetry (defect {defect:.3e}) "
                 "for a field declared real"
             )
-        c = 0.5 * (c + np.conj(_reflect(c)))
+        h = self.grid.half_shape[1]
+        half = 0.5 * (c[:, :h] + np.conj(_reflect(c)[:, :h]))
+        half.flags.writeable = False
+        object.__setattr__(self, "half", half)
+
+    @property
+    def coeffs(self):
+        """The full (modes_x, modes_y) spectrum, rebuilt from the half on
+        every access: it allocates a full array each time."""
+        c = _full_spectrum(self.half, self.grid)
         c.flags.writeable = False
-        object.__setattr__(self, "coeffs", c)
+        return c
 
     def __add__(self, other):
         _require_same_grid(self, other)
-        return trusted_field(self.grid, self.coeffs + other.coeffs)
+        return trusted_field(self.grid, self.half + other.half)
 
     def __sub__(self, other):
         _require_same_grid(self, other)
-        return trusted_field(self.grid, self.coeffs - other.coeffs)
+        return trusted_field(self.grid, self.half - other.half)
 
     def __mul__(self, scalar):
         if not isinstance(scalar, numbers.Real):
             raise TypeError(f"a real field scales by real numbers only, got {scalar!r}")
-        return trusted_field(self.grid, self.coeffs * scalar)
+        return trusted_field(self.grid, self.half * scalar)
 
     __rmul__ = __mul__
 
 
-def trusted_field(grid, coeffs):
+def trusted_field(grid, half):
     """Package-internal: SpectralField without the check and fold, for a fresh
-    complex128 array that is exactly Hermitian with zero Nyquist planes."""
+    complex128 half spectrum of shape grid.half_shape whose eta = 0 column is
+    exactly Hermitian and whose Nyquist row and column are zero."""
     field = object.__new__(SpectralField)
-    coeffs.flags.writeable = False
+    half.flags.writeable = False
     object.__setattr__(field, "grid", grid)
-    object.__setattr__(field, "coeffs", coeffs)
+    object.__setattr__(field, "half", half)
     return field
 
 
@@ -178,10 +229,11 @@ def _require_same_grid(f, g):
 
 
 def plane_residual(field, index):
-    """Largest |coefficient| at coeffs[index], or 0.0 when that is round-off:
-    at most ZERO_X_MEAN_RTOL times the field's largest coefficient (or 1)."""
-    res = float(np.max(np.abs(field.coeffs[index])))
-    scale = max(1.0, float(np.max(np.abs(field.coeffs))))
+    """Largest |coefficient| at half[index], or 0.0 when that is round-off:
+    at most ZERO_X_MEAN_RTOL times the field's largest coefficient (or 1).
+    A row of the half holds every value of the full row, up to conjugation."""
+    res = float(np.max(np.abs(field.half[index])))
+    scale = max(1.0, float(np.max(np.abs(field.half))))
     return res if res > ZERO_X_MEAN_RTOL * scale else 0.0
 
 
@@ -195,16 +247,23 @@ def require_zero_x_mean(field, what="operation"):
 
 def to_physical(field):
     """Point samples on the grid, a real ndarray."""
-    half = field.coeffs[:, : field.grid.modes_y // 2 + 1]
-    return np.fft.irfft2(half, s=field.coeffs.shape) / field.grid.cell_area
+    grid = field.grid
+    return np.fft.irfft2(field.half, s=(grid.modes_x, grid.modes_y)) / grid.cell_area
+
+
+def _fold_eta0(half):
+    """Fold the eta = 0 column of a fresh half in place to exact symmetry:
+    rfft2 transforms it by a complex FFT along x, which leaves round-off."""
+    col = half[:, 0]
+    half[:, 0] = 0.5 * (col + np.conj(np.roll(col[::-1], 1)))
+    return half
 
 
 def _full_spectrum(half, grid):
-    """Exactly Hermitian spectrum, Nyquist column zero, from an rfft2 half."""
+    """Exactly Hermitian full spectrum, Nyquist column zero, from a half."""
     c = np.zeros((grid.modes_x, grid.modes_y), dtype=np.complex128)
     c[:, : grid.modes_y // 2] = half[:, : grid.modes_y // 2]
-    # the conjugate mirror fills eta < 0; halved, it folds the eta = 0 column,
-    # which rfft2 transforms by a complex FFT along x, to exact symmetry
+    # the conjugate mirror fills eta < 0; halved, it folds the eta = 0 column
     c += np.conj(_reflect(c))
     c[:, 0] *= 0.5
     return c
@@ -218,11 +277,14 @@ def to_spectral(samples, grid):
         raise ValueError(f"sample array shape {samples.shape} does not match grid {shape}")
     if np.iscomplexobj(samples):
         raise ValueError("samples must be real: fields are real")
-    return SpectralField(grid, _full_spectrum(np.fft.rfft2(samples) * grid.cell_area, grid))
+    half = np.fft.rfft2(samples) * grid.cell_area
+    half[grid.modes_x // 2, :] = 0.0
+    half[:, -1] = 0.0
+    return trusted_field(grid, _fold_eta0(half))
 
 
 def x_derivative(field):
-    return trusted_field(field.grid, field.coeffs * (1j * field.grid.xi_grid))
+    return trusted_field(field.grid, field.half * (1j * field.grid.xi_half))
 
 
 def fractional_x_derivative(field, s):
@@ -231,10 +293,10 @@ def fractional_x_derivative(field, s):
         return field
     if s < 0:
         require_zero_x_mean(field, f"fractional_x_derivative(s={s})")
-    xi = field.grid.xi_grid
+    xi = field.grid.xi_half
     with np.errstate(divide="ignore"):
         mult = np.where(xi != 0.0, np.abs(xi) ** float(s), 0.0)
-    return trusted_field(field.grid, field.coeffs * mult)
+    return trusted_field(field.grid, field.half * mult)
 
 
 def is_dyadic(value):
@@ -254,16 +316,18 @@ def dealiased_product(f, g):
     _require_same_grid(f, g)
     grid = f.grid
     mask = grid.dealias_mask
-    h = grid.modes_y // 2 + 1
-    fa = np.fft.irfft2(f.coeffs[:, :h] * mask[:, :h], s=mask.shape)
-    ga = fa if g is f else np.fft.irfft2(g.coeffs[:, :h] * mask[:, :h], s=mask.shape)
+    shape = (grid.modes_x, grid.modes_y)
+    fa = np.fft.irfft2(f.half * mask, s=shape)
+    ga = fa if g is f else np.fft.irfft2(g.half * mask, s=shape)
     # fa, ga are cell_area * samples; one net 1/cell_area restores the convention
-    coeffs = _full_spectrum(np.fft.rfft2(fa * ga), grid) / grid.cell_area * mask
-    return trusted_field(grid, coeffs)
+    square = np.fft.rfft2(fa * ga)
+    square *= grid.product_scale
+    return trusted_field(grid, _fold_eta0(square))
 
 
 def save_field(field, path):
-    """Write magic, box lengths, mode counts, then row-major (re, im) f64 pairs."""
+    """Write magic, box lengths, mode counts, then the full spectrum as
+    row-major (re, im) f64 pairs."""
     header = _MAGIC + struct.pack(
         "<ddqq",
         field.grid.length_x,

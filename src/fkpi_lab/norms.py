@@ -1,14 +1,17 @@
 """Conserved quantities and the norm zoo used by the probes.
 
 All spectral sums follow the grid convention: integral |u|^2 dx dy equals
-sum |coeffs|^2 / (Lx*Ly).  The anisotropic Sobolev scale carries separate
-orders (s1, s2) in xi and eta.
+sum |coeffs|^2 / (Lx*Ly).  They run over the stored half spectrum, each
+column weighted by grid.half_weight (1 for eta = 0, 2 for the others).
+The anisotropic Sobolev scale carries separate orders (s1, s2) in xi and
+eta.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -50,9 +53,14 @@ def _vol(grid):
     return grid.length_x * grid.length_y
 
 
+def _power(field):
+    """|coeffs|^2 on the half, weighted so that its sum is the full sum."""
+    return np.abs(field.half) ** 2 * field.grid.half_weight
+
+
 def mass(field):
     """L^2 mass integral |u|^2 by Parseval."""
-    return float(np.sum(np.abs(field.coeffs) ** 2) / _vol(field.grid))
+    return float(np.sum(_power(field)) / _vol(field.grid))
 
 
 def _check_eta_column(field, what):
@@ -63,15 +71,21 @@ def _check_eta_column(field, what):
         )
 
 
-def _quadratic_terms(params, field):
-    grid = field.grid
-    xi, eta = grid.xi_grid, grid.eta_grid
-    c2 = np.abs(field.coeffs) ** 2
-    quad_x = 0.5 * float(np.sum(np.abs(xi) ** params.alpha * c2)) / _vol(grid)
+@lru_cache(maxsize=16)
+def _quadratic_weight(grid, alpha):
+    """1/2 |xi|^alpha + 1/2 (eta/xi)^2 on the half (0 where xi = 0), times
+    half_weight / (Lx*Ly), so that the quadratic energy is one weighted sum."""
+    xi, eta = grid.xi_half, grid.eta_half
     with np.errstate(divide="ignore", invalid="ignore"):
         w = np.where(xi != 0.0, (eta / np.where(xi != 0.0, xi, 1.0)) ** 2, 0.0)
-    quad_y = 0.5 * float(np.sum(w * c2)) / _vol(grid)
-    return quad_x + quad_y
+    w = 0.5 * (np.abs(xi) ** alpha + w) * grid.half_weight / _vol(grid)
+    w.flags.writeable = False
+    return w
+
+
+def _quadratic_terms(params, field):
+    weight = _quadratic_weight(field.grid, params.alpha)
+    return float(np.sum(weight * np.abs(field.half) ** 2))
 
 
 def energy_alpha(params, field):
@@ -83,8 +97,8 @@ def energy_alpha(params, field):
     """
     _check_eta_column(field, "energy_alpha")
     grid = field.grid
-    u_deal = to_physical(trusted_field(grid, field.coeffs * grid.dealias_mask))
-    cubic = float(np.sum(u_deal ** 3) * grid.cell_area) / 6.0
+    u_deal = to_physical(trusted_field(grid, field.half * grid.dealias_mask))
+    cubic = float(np.sum(u_deal * u_deal * u_deal) * grid.cell_area) / 6.0
     return _quadratic_terms(params, field) + cubic
 
 
@@ -97,10 +111,9 @@ def quadratic_energy(params, field):
 def sobolev_aniso(field, idx):
     """Anisotropic Sobolev norm with weight (1+xi^2)^{s1/2} (1+eta^2)^{s2/2}."""
     grid = field.grid
-    xi, eta = grid.xi_grid, grid.eta_grid
-    c2 = np.abs(field.coeffs) ** 2
+    xi, eta = grid.xi_half, grid.eta_half
     w2 = (1.0 + xi * xi) ** idx.s1 * (1.0 + eta * eta) ** idx.s2
-    return math.sqrt(float(np.sum(w2 * c2)) / _vol(grid))
+    return math.sqrt(float(np.sum(w2 * _power(field))) / _vol(grid))
 
 
 def _lr_norm(field, r):

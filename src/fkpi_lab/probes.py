@@ -279,8 +279,9 @@ def lowfreq_l4_ratio(params, N, K, u0, T=1.0, snapshots=128):
         raise ValueError(f"N must be dyadic and < 1, got {N}")
     if not is_dyadic(K):
         raise ValueError(f"K must be dyadic, got {K}")
-    axi = np.abs(u0.grid.xi_grid)
-    power = np.abs(u0.coeffs) ** 2
+    axi = np.abs(u0.grid.xi)
+    # spectral power of each xi row, summed over eta
+    power = np.sum(np.abs(u0.half) ** 2 * u0.grid.half_weight, axis=1)
     total = float(np.sum(power))
     if total == 0.0:
         return make_record("lowfreq_l4", {"alpha": params.alpha, "N": N, "K": K},

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -219,6 +220,18 @@ class TestSolveBookkeeping:
         assert np.allclose(traj.times, [0.0, 0.3, 0.6, 0.9, 1.0])
         assert len(traj.fields) == 5
 
+    @pytest.mark.parametrize("scheme", ev.SCHEMES)
+    def test_snapshots_hold_only_half_spectra(self, scheme):
+        g = FrequencyGrid(2 * np.pi, 2 * np.pi, 16, 12)
+        u = smooth_field(g)
+        cfg = ev.EvolutionConfig(dt=0.1, T=0.5, scheme=scheme)
+        for f in ev.solve(DispersionParams(ALPHA), u, cfg).fields:
+            arrays = [v for v in vars(f).values() if isinstance(v, np.ndarray)]
+            assert [a.shape for a in arrays] == [(16, 12 // 2 + 1)]
+            # the one symmetry the half still carries: its eta = 0 column
+            col = f.half[:, 0]
+            assert np.array_equal(col, np.conj(np.roll(col[::-1], 1)))
+
     def test_zero_horizon(self):
         g = small_grid(16)
         u = smooth_field(g)
@@ -280,6 +293,22 @@ class TestPicard:
             gaps.append(np.linalg.norm(it - ref) / np.linalg.norm(ref))
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[2] < 1e-6
+
+    def test_memory_holds_one_node_stack(self):
+        # phases are made per node and the integrand overwrites the iterate:
+        # the peak stays below two full-spectrum stacks of n + 1 nodes
+        g = small_grid(64)
+        u = smooth_field(g)
+        p = DispersionParams(ALPHA)
+        n = 200
+        ev.picard_iterate(p, u, 1, 0.01, 0.01)  # warm the multiplier caches
+        tracemalloc.start()
+        try:
+            ev.picard_iterate(p, u, 2, n * 0.001, 0.001)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * (n + 1) * g.modes_x * g.modes_y * 16
 
     def test_validation(self):
         g = small_grid(16)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import struct
 
@@ -80,6 +81,26 @@ class TestSpectralField:
         f = random_real_field(small_grid(), seed=4)
         with pytest.raises(ValueError):
             f.coeffs[0, 0] = 1.0
+
+
+class TestHalfStorage:
+    def test_coeffs_is_a_fresh_full_view(self):
+        f = random_real_field(small_grid(16), seed=6)
+        assert f.half.shape == (16, 16 // 2 + 1)
+        assert f.coeffs is not f.coeffs
+        assert f.coeffs.shape == (16, 16)
+        assert np.array_equal(f.coeffs[:, : f.half.shape[1]], f.half)
+        # only the half stays on the instance, also after the accesses
+        arrays = [v for v in vars(f).values() if isinstance(v, np.ndarray)]
+        assert [a.shape for a in arrays] == [f.half.shape]
+
+    def test_half_eta0_column_exactly_hermitian(self):
+        # to_spectral and the product fold the eta = 0 column that rfft2 leaves
+        g = small_grid(32)
+        f = random_real_field(g, seed=8)
+        for field in (f, G.dealiased_product(f, f)):
+            col = field.half[:, 0]
+            assert np.array_equal(col, np.conj(np.roll(col[::-1], 1)))
 
 
 class TestTransforms:
@@ -223,6 +244,21 @@ class TestProduct:
         assert np.array_equal(G.dealiased_product(f, f).coeffs,
                               G.dealiased_product(f, twin).coeffs)
 
+    def test_matches_complex_fft_product(self):
+        # full-spectrum oracle: complex ifft2/fft2 with the 2/3 mask written here
+        g = G.FrequencyGrid(2 * math.pi, 4 * math.pi, 24, 16)
+        f = random_real_field(g, seed=17)
+        h = random_real_field(g, seed=18)
+        assert np.max(np.abs(f.coeffs[1:, 0])) > 0.0  # content on the eta = 0 column
+        kx = np.fft.fftfreq(24, d=1.0 / 24)
+        ky = np.fft.fftfreq(16, d=1.0 / 16)
+        mask = np.outer(np.abs(kx) <= 23 // 3, np.abs(ky) <= 15 // 3)
+        u = np.fft.ifft2(f.coeffs * mask) / g.cell_area
+        v = np.fft.ifft2(h.coeffs * mask) / g.cell_area
+        want = np.fft.fft2(u * v) * g.cell_area * mask
+        got = G.dealiased_product(f, h).coeffs
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
     def test_real_output_and_symmetry(self):
         g = small_grid(16)
         f = random_real_field(g, seed=14)
@@ -274,6 +310,18 @@ class TestSerialization:
                          + c.tobytes())
         with pytest.raises(ValueError, match="Hermitian symmetry"):
             G.load_field(path)
+
+    def test_golden_bytes(self, tmp_path):
+        # digests of the FKPI1 bytes as written by the full-spectrum storage
+        # that preceded the half-spectrum one: the format must not move
+        golden = "78d7db4e06f2418d8f085d74ed83708138cbc2e0add74f12608652d73b72a5e4"
+        g = G.FrequencyGrid(2 * math.pi, 4 * math.pi, 16, 16)
+        samples = np.random.default_rng(2022).standard_normal((16, 16))
+        first, second = tmp_path / "first.fkpi", tmp_path / "second.fkpi"
+        G.save_field(G.to_spectral(samples, g), first)
+        G.save_field(G.load_field(first), second)
+        assert hashlib.sha256(first.read_bytes()).hexdigest() == golden
+        assert hashlib.sha256(second.read_bytes()).hexdigest() == golden
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.fkpi"

@@ -73,6 +73,7 @@ UNCALLED_PUBLIC = {
     "normal_determinant_numeric_arrays": "cofactor route of the determinant cross-check",
     "sobolev_aniso": "measures propagate_linear's isometry in three Tier-1 tests",
     "load_field": "the reader half of the FKPI1 file format that save_field writes",
+    "x_derivative": "public d/dx; nonlinearity folds it into one cached multiplier",
 }
 
 

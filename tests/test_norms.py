@@ -130,6 +130,57 @@ class TestSobolev:
         assert b == pytest.approx(3.0 * a, rel=1e-12)
 
 
+class TestHalfSums:
+    """The half-spectrum sums against full-spectrum sums written out here."""
+
+    def field(self):
+        g = FrequencyGrid(length_x=TWO_PI, length_y=2.0 * TWO_PI, modes_x=32, modes_y=24)
+        rng = np.random.default_rng(23)
+        x, y = np.meshgrid(g.x, g.y, indexing="ij")
+        # j = 0 puts content on the eta = 0 column; i >= 1 keeps zero x-mean
+        samples = sum(rng.normal() * np.cos(i * x + 0.5 * j * y + rng.uniform(0, TWO_PI))
+                      for i in range(1, 5) for j in range(-3, 4))
+        u = to_spectral(samples, g)
+        assert np.max(np.abs(u.coeffs[1:, 0])) > 0.0
+        return u
+
+    def full_sum(self, u, weight):
+        g = u.grid
+        return float(np.sum(weight * np.abs(u.coeffs) ** 2)) / (g.length_x * g.length_y)
+
+    def quadratic(self, u, alpha):
+        xi, eta = u.grid.xi_grid, u.grid.eta_grid
+        with np.errstate(divide="ignore", invalid="ignore"):
+            transverse = np.where(xi != 0.0, (eta / np.where(xi != 0.0, xi, 1.0)) ** 2, 0.0)
+        return 0.5 * self.full_sum(u, np.abs(xi) ** alpha + transverse)
+
+    def test_mass(self):
+        u = self.field()
+        assert nm.mass(u) == pytest.approx(self.full_sum(u, 1.0), rel=1e-13)
+
+    def test_quadratic_and_full_energy(self):
+        u = self.field()
+        g = u.grid
+        kx = np.fft.fftfreq(g.modes_x, d=1.0 / g.modes_x)
+        ky = np.fft.fftfreq(g.modes_y, d=1.0 / g.modes_y)
+        mask = np.outer(np.abs(kx) <= (g.modes_x - 1) // 3,
+                        np.abs(ky) <= (g.modes_y - 1) // 3)
+        u_deal = np.fft.ifft2(u.coeffs * mask).real / g.cell_area
+        cubic = float(np.sum(u_deal ** 3) * g.cell_area) / 6.0
+        for alpha in (2.0, 2.5, 3.5):
+            p = DispersionParams(alpha)
+            quad = self.quadratic(u, alpha)
+            assert nm.quadratic_energy(p, u) == pytest.approx(quad, rel=1e-13)
+            assert nm.energy_alpha(p, u) == pytest.approx(quad + cubic, rel=1e-13)
+
+    def test_sobolev(self):
+        u = self.field()
+        xi, eta = u.grid.xi_grid, u.grid.eta_grid
+        for s1, s2 in ((0.0, 0.0), (1.5, -0.5), (-1.0, 2.0)):
+            want = math.sqrt(self.full_sum(u, (1.0 + xi * xi) ** s1 * (1.0 + eta * eta) ** s2))
+            assert nm.sobolev_aniso(u, nm.AnisoIndex(s1, s2)) == pytest.approx(want, rel=1e-13)
+
+
 class TestSpacetime:
     def test_constant_trajectory_l4(self):
         # u(t) = cos x cos y frozen in time: norm is T^{1/4} ||u||_{L^4}
