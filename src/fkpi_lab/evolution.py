@@ -92,11 +92,21 @@ def _burgers_multiplier(grid):
     return mult
 
 
+@lru_cache(maxsize=8)
+def _linear_phase(grid, alpha, t):
+    """e^{i t omega} on the half spectrum; one table per step size."""
+    phase = np.exp(1j * t * _omega_grid(grid, alpha))
+    phase.flags.writeable = False
+    return phase
+
+
 def propagate_linear(params, field, t):
     """Apply the free group e^{i t omega}. Isometric on every multiplier norm."""
     require_zero_x_mean(field, "propagate_linear")
-    om = _omega_grid(field.grid, params.alpha)
-    return trusted_field(field.grid, field.half * np.exp(1j * t * om))
+    # phase * half in this order: complex products round differently with
+    # their operands swapped, and this order reproduces the canonical records
+    return trusted_field(field.grid,
+                         _linear_phase(field.grid, params.alpha, t) * field.half)
 
 
 def nonlinearity(params, field):
@@ -135,27 +145,45 @@ def _etdrk4_tables(grid, alpha, dt):
     e_half = np.exp(z / 2.0)
     q = 0.5 * dt * _phi(z / 2.0, 1)
     f1 = dt * (_phi(z, 1) - 3.0 * _phi(z, 2) + 4.0 * _phi(z, 3))
-    f2 = dt * (_phi(z, 2) - 2.0 * _phi(z, 3))
+    # stored doubled: 2 f2 is the only use, and doubling is exact
+    f2x2 = 2.0 * (dt * (_phi(z, 2) - 2.0 * _phi(z, 3)))
     f3 = dt * (4.0 * _phi(z, 3) - _phi(z, 2))
-    tables = (e_full, e_half, q, f1, f2, f3)
+    tables = (e_full, e_half, q, f1, f2x2, f3)
     for t in tables:
         t.flags.writeable = False
     return tables
 
 
 def _etdrk4_step(params, field, dt):
-    e_full, e_half, q, f1, f2, f3 = _etdrk4_tables(field.grid, params.alpha, dt)
+    """One ETDRK4 step (Cox-Matthews).  Stages accumulate in place, each sum
+    and product in the association and operand order that reproduces the
+    canonical records bit for bit (complex products round differently with
+    their operands swapped)."""
+    e_full, e_half, q, f1, f2x2, f3 = _etdrk4_tables(field.grid, params.alpha, dt)
+    grid = field.grid
     u = field.half
     eu = e_half * u
     n_u = nonlinearity(params, field).half
-    a = eu + q * n_u
-    n_a = nonlinearity(params, trusted_field(field.grid, a)).half
-    b = eu + q * n_a
-    n_b = nonlinearity(params, trusted_field(field.grid, b)).half
-    c = e_half * a + q * (2.0 * n_b - n_u)
-    n_c = nonlinearity(params, trusted_field(field.grid, c)).half
-    out = e_full * u + f1 * n_u + 2.0 * f2 * (n_a + n_b) + f3 * n_c
-    return trusted_field(field.grid, out)
+    a = q * n_u
+    a += eu
+    n_a = nonlinearity(params, trusted_field(grid, a)).half
+    b = q * n_a
+    b += eu
+    n_b = nonlinearity(params, trusted_field(grid, b)).half
+    # c = e_half a + (2 n_b - n_u) q, into eu's buffer
+    tmp = 2.0 * n_b
+    tmp -= n_u
+    tmp *= q
+    c = np.multiply(e_half, a, out=eu)
+    c += tmp
+    n_c = nonlinearity(params, trusted_field(grid, c)).half
+    # out = e_full u + f1 n_u + 2 f2 (n_a + n_b) + f3 n_c, left to right
+    out = e_full * u
+    out += np.multiply(f1, n_u, out=tmp)
+    np.add(n_a, n_b, out=tmp)
+    out += np.multiply(f2x2, tmp, out=tmp)
+    out += np.multiply(f3, n_c, out=tmp)
+    return trusted_field(grid, out)
 
 
 def _strang_step(params, field, dt):
@@ -258,15 +286,20 @@ def picard_iterate(params, u0, k, T, dt):
 
 
 def _phi_window(z):
-    """(e^{-iz} - 1)/z for real z, stable near zero."""
+    """(e^{-iz} - 1)/z for real z as its (real, imaginary) parts, stable
+    near zero.  Half-angle form: -2 sin^2(z/2)/z and -2 sin(z/2) cos(z/2)/z,
+    with sin^2 = tau^2/(1 + tau^2) and sin cos = tau/(1 + tau^2) for
+    tau = tan(z/2), so one tangent replaces the complex exponential."""
     z = np.asarray(z, dtype=float)
-    out = np.empty(z.shape, dtype=complex)
     small = np.abs(z) < 1e-4
+    zb = np.where(small, 1.0, z)
+    tau = np.tan(0.5 * zb)
+    im = -2.0 * tau / ((1.0 + tau * tau) * zb)
+    re = im * tau
     zs = z[small]
-    out[small] = -1j - zs / 2.0 + 1j * zs ** 2 / 6.0 + zs ** 3 / 24.0
-    zb = z[~small]
-    out[~small] = (np.exp(-1j * zb) - 1.0) / zb
-    return out
+    re[small] = -zs / 2.0 + zs ** 3 / 24.0
+    im[small] = -1.0 + zs ** 2 / 6.0
+    return re, im
 
 
 def box_data_norms(params, N, gamma, sbar):
@@ -346,11 +379,14 @@ def _u2_norm_once(alpha, N, gamma, s1, s2, t, q_inner, q_outer):
             xi2 = xi[..., None, None] - xi1
             eta2 = eta[..., None, None] - eta1
             om = resonance_arrays(alpha, xi1, eta1, xi2, eta2)
-            kernel = t * _phi_window(t * om)
-            inner = np.sum(kernel * (w1[..., :, None] * wh[..., None, :]), axis=(-2, -1))
-            u2hat = pref * xi * inner
+            # the kernel t phi(t om) against the product weights w1 wh, in
+            # real and imaginary parts
+            inner2 = sum(np.einsum("dei,dei->de", np.einsum("deij,dej->dei", part, wh),
+                                   w1) ** 2
+                         for part in _phi_window(t * om))
+            u2hat2 = (pref * t * xi) ** 2 * inner2
             wgt = (1.0 + xi ** 2) ** s1 * (1.0 + eta ** 2) ** s2
-            total += float(np.sum((wd[:, None] * we[None, :]) * np.abs(u2hat) ** 2 * wgt))
+            total += float(np.sum((wd[:, None] * we[None, :]) * u2hat2 * wgt))
     return math.sqrt(2.0 * total)  # mirrored output piece
 
 

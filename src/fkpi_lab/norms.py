@@ -126,22 +126,27 @@ def _lr_norm(field, r):
 def spacetime_norm(trajectory, spec):
     """L^q_t L^r_xy norm of a sampled trajectory [(t_i, field_i), ...].
 
-    Time integration is trapezoidal on the (uniform) snapshot times;
-    q = inf or r = inf fall back to the max over the sampled set.
+    Any iterable of pairs works, a generator included; snapshots are read
+    one at a time and not kept.  Time integration is trapezoidal on the
+    (uniform) snapshot times; q = inf or r = inf fall back to the max over
+    the sampled set.
     """
-    snaps = list(trajectory)
-    if len(snaps) < 2:
+    times, vals = [], []
+    for t, f in trajectory:
+        times.append(t)
+        vals.append(_lr_norm(f, spec.r))
+    if len(times) < 2:
         raise ValueError("spacetime_norm needs at least two snapshots")
-    times = np.array([t for t, _ in snaps], dtype=float)
+    times = np.array(times, dtype=float)
+    vals = np.array(vals)
     dts = np.diff(times)
     if np.any(dts <= 0.0):
         raise ValueError("snapshot times must be strictly increasing")
     if np.max(np.abs(dts - dts[0])) > 1e-9 * max(abs(times[-1]), 1.0):
         raise ValueError("snapshot times must be uniformly spaced")
-    vals = np.array([_lr_norm(f, spec.r) for _, f in snaps])
     if math.isinf(spec.q):
         return float(np.max(vals))
-    w = np.full(len(snaps), dts[0])
+    w = np.full(len(times), dts[0])
     w[0] *= 0.5
     w[-1] *= 0.5
     return float(np.sum(w * vals ** spec.q) ** (1.0 / spec.q))

@@ -220,8 +220,15 @@ def _single_trial(sweep):
 
 
 def _linear_trajectory(params, u0, T, snapshots):
+    """Yield (t_k, U(t_k) u0) on snapshots + 1 uniform times, each state one
+    step of T / snapshots from the last, so one phase table serves them all
+    and only the current state is alive."""
     times = np.linspace(0.0, T, snapshots + 1)
-    return [(float(t), propagate_linear(params, u0, float(t))) for t in times]
+    u = u0
+    yield 0.0, u
+    for t in times[1:]:
+        u = propagate_linear(params, u, T / snapshots)
+        yield float(t), u
 
 
 def linear_strichartz_ratio(params, spec, u0, T=1.0, snapshots=128, extra_inputs=None):
@@ -353,47 +360,54 @@ def coarea_product_norm(alpha, box_a, box_b, nk, nw, nx):
     ky_e = np.linspace(ya0 + yb0, ya1 + yb1, nk + 1)
     kx = 0.5 * (kx_e[:-1] + kx_e[1:])
     ky = 0.5 * (ky_e[:-1] + ky_e[1:])
+    dky = ky_e[1:] - ky_e[:-1]
+    # eta1 slice of each output row ky: rows with an empty slice add nothing
+    ey_lo = np.maximum(ya0, ky - yb1)
+    ey_hi = np.minimum(ya1, ky - yb0)
+    rows = ey_hi > ey_lo
+    ky, dky = ky[rows], dky[rows]
+    ey = np.linspace(ey_lo[rows], ey_hi[rows], 9, axis=-1)[:, None, :]
+    kyc = ky[:, None, None]
     total = 0.0
     span_lo, span_hi = math.inf, -math.inf
     for i, kxi in enumerate(kx):
         lo = max(xa0, kxi - xb1)
         hi = min(xa1, kxi - xb0)
-        if hi <= lo:
+        if hi <= lo or not ky.size:
             continue
         xi1 = np.linspace(lo, hi, nx + 1)
         xi1 = 0.5 * (xi1[:-1] + xi1[1:])
         dx1 = (hi - lo) / nx
         xi2 = kxi - xi1
-        for j, kyj in enumerate(ky):
-            ey_lo = max(ya0, kyj - yb1)
-            ey_hi = min(ya1, kyj - yb0)
-            if ey_hi <= ey_lo:
-                continue
-            # Phi(eta') = a eta'^2 + b eta' + c along the slice
-            a = kxi / (xi1 * xi2)
-            b = -2.0 * kyj / xi2
-            c = (np.abs(xi1) ** alpha * xi1 + np.abs(xi2) ** alpha * xi2
-                 + kyj ** 2 / xi2)
-            ey = np.linspace(ey_lo, ey_hi, 9)
-            phis = a[:, None] * ey[None, :] ** 2 + b[:, None] * ey[None, :] + c[:, None]
-            wlo, whi = float(phis.min()), float(phis.max())
-            span_lo = min(span_lo, wlo)
-            span_hi = max(span_hi, whi)
-            if whi <= wlo:
-                continue
-            wgrid = np.linspace(wlo, whi, nw)
-            dw = (whi - wlo) / (nw - 1)
-            disc = b[:, None] ** 2 - 4.0 * a[:, None] * (c[:, None] - wgrid[None, :])
-            ok = disc > 0.0
-            sq = np.sqrt(np.where(ok, disc, 1.0))
-            g = np.zeros(nw)
-            for sgn in (1.0, -1.0):
-                eta1 = (-b[:, None] + sgn * sq) / (2.0 * a[:, None])
-                inside = (ok & (eta1 >= ya0) & (eta1 <= ya1)
-                          & (kyj - eta1 >= yb0) & (kyj - eta1 <= yb1))
-                g += np.sum(np.where(inside, 1.0 / sq, 0.0), axis=0) * dx1
-            cell = (kx_e[i + 1] - kx_e[i]) * (ky_e[j + 1] - ky_e[j])
-            total += cell * float(np.sum(g ** 2)) * dw
+        # Phi(eta') = a eta'^2 + b eta' + c along each (ky, xi1) slice; all
+        # arrays are (ky row, xi1 node, level or eta node)
+        a = (kxi / (xi1 * xi2))[None, :, None]
+        b = (-2.0 * kyc) / xi2[None, :, None]
+        c = ((np.abs(xi1) ** alpha * xi1 + np.abs(xi2) ** alpha * xi2)[None, :, None]
+             + kyc ** 2 / xi2[None, :, None])
+        phis = a * ey ** 2 + b * ey + c
+        wlo, whi = phis.min(axis=(1, 2)), phis.max(axis=(1, 2))
+        span_lo = min(span_lo, float(wlo.min()))
+        span_hi = max(span_hi, float(whi.max()))
+        live = whi > wlo
+        if not live.any():
+            continue
+        wlo, whi, b, c, kyl = wlo[live], whi[live], b[live], c[live], kyc[live]
+        wgrid = np.linspace(wlo, whi, nw, axis=-1)[:, None, :]
+        dw = (whi - wlo) / (nw - 1)
+        disc = b ** 2 - 4.0 * a * (c - wgrid)
+        ok = disc > 0.0
+        sq = np.sqrt(np.where(ok, disc, 1.0))
+        g = 0.0
+        for sgn in (1.0, -1.0):
+            eta1 = (-b + sgn * sq) / (2.0 * a)
+            inside = (ok & (eta1 >= ya0) & (eta1 <= ya1)
+                      & (kyl - eta1 >= yb0) & (kyl - eta1 <= yb1))
+            g = g + np.sum(np.where(inside, 1.0 / sq, 0.0), axis=1) * dx1
+        cell = (kx_e[i + 1] - kx_e[i]) * dky[live]
+        # added one ky row at a time: the summation order of a per-cell loop
+        for contribution in (cell * np.sum(g ** 2, axis=1) * dw).tolist():
+            total += contribution
     span = span_hi - span_lo if span_hi > span_lo else 0.0
     return math.sqrt(math.pi * amp2 * total), span
 

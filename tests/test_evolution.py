@@ -86,6 +86,27 @@ class TestLinearPropagator:
         w = ev.propagate_linear(DispersionParams(ALPHA), u, 1.234)
         assert hermitian_defect(w.coeffs) == 0.0
 
+    def test_eta0_column_hermitian_one_shot_and_chained(self):
+        # the probes step the free flow in 128 equal steps of one cached phase
+        g = small_grid(64)
+        u = smooth_field(g)
+        p = DispersionParams(ALPHA)
+        one = ev.propagate_linear(p, u, 1.234)
+        chain = u
+        for _ in range(128):
+            chain = ev.propagate_linear(p, chain, 1.234 / 128)
+        scale = np.max(np.abs(one.half))
+        assert np.max(np.abs(chain.half - one.half)) <= 1e-12 * scale
+        for w in (one, chain):
+            col = w.half[:, 0]
+            assert np.array_equal(col, np.conj(np.roll(col[::-1], 1)))
+
+    def test_phase_table_is_cached_and_read_only(self):
+        g = small_grid(16)
+        table = ev._linear_phase(g, ALPHA, 0.25)
+        assert ev._linear_phase(g, ALPHA, 0.25) is table
+        assert not table.flags.writeable
+
     def test_rejects_nonzero_x_mean(self):
         g = small_grid(16)
         x, y = np.meshgrid(g.x, g.y, indexing="ij")
@@ -320,8 +341,40 @@ class TestPicard:
             ev.picard_iterate(p, u, 2, 0.1, 0.03)
 
 
+class TestPhiWindow:
+    def test_matches_complex_form(self):
+        z = np.linspace(-20.0, 20.0)
+        re, im = ev._phi_window(z)
+        want = (np.exp(-1j * z) - 1.0) / z
+        assert np.max(np.abs(re + 1j * im - want)) <= 1e-15
+
+    def test_near_zero_against_mpmath(self):
+        # the complex form cancels here (error ~1e-16/|z|), so the oracle is
+        # 40-digit arithmetic; z = 0 is the limit -i
+        import mpmath
+
+        z = np.array([0.0, 1e-5, -1e-5, 2e-4, -2e-4])
+        re, im = ev._phi_window(z)
+        assert re[0] == 0.0 and im[0] == -1.0
+        with mpmath.workdps(40):
+            for zi, r, m in zip(z[1:], re[1:], im[1:]):
+                x = mpmath.mpf(float(zi))
+                want = complex((mpmath.exp(-1j * x) - 1) / x)
+                assert abs(complex(r, m) - want) <= 1e-15
+
+
 class TestSecondIterateBoxData:
     SBAR = AnisoIndex(0.0, 0.0)
+
+    @pytest.mark.parametrize("quad_res, value", [
+        (8, 0.28082451213315435), (12, 0.2808250245739751)])
+    def test_golden_values(self, quad_res, value):
+        # captured from the complex-exponential kernel it replaced
+        p = DispersionParams(2.5)
+        n = 1024.0
+        gamma = n ** (-(2.5 - 1.0) / 2.0 - 0.05)
+        got = ev.second_iterate_boxdata(p, n, gamma, self.SBAR, 1.0, quad_res=quad_res)
+        assert got == pytest.approx(value, rel=1e-12, abs=0.0)
 
     def test_zero_time(self):
         p = DispersionParams(2.2)

@@ -102,6 +102,14 @@ class TestHalfStorage:
             col = field.half[:, 0]
             assert np.array_equal(col, np.conj(np.roll(col[::-1], 1)))
 
+    def test_derivatives_keep_eta0_column_hermitian(self):
+        # coeffs mirrors the half, so only the half's own column can break
+        f = random_real_field(small_grid(32), seed=9, zero_x_mean=True)
+        for field in (G.x_derivative(f), G.fractional_x_derivative(f, 0.5),
+                      G.fractional_x_derivative(f, -0.75)):
+            col = field.half[:, 0]
+            assert np.array_equal(col, np.conj(np.roll(col[::-1], 1)))
+
 
 class TestTransforms:
     def test_round_trip_identity(self):

@@ -213,6 +213,28 @@ class TestSpacetime:
         with pytest.raises(ValueError):
             nm.spacetime_norm(traj, nm.MixedNormSpec(4.0, 4.0))
 
+    def test_generator_equals_list(self):
+        g = unit_grid()
+        p = DispersionParams(2.5)
+        u = to_spectral(np.cos(g.x[:, None] + 2.0 * g.y[None, :]), g)
+
+        def snaps():
+            for t in np.linspace(0.0, 0.5, 9):
+                yield float(t), propagate_linear(p, u, float(t))
+
+        for spec in (nm.MixedNormSpec(4.0, 4.0), nm.MixedNormSpec(np.inf, 6.0)):
+            assert nm.spacetime_norm(snaps(), spec) == nm.spacetime_norm(list(snaps()), spec)
+
+    @pytest.mark.parametrize("times, match", [
+        ((0.0,), "two snapshots"),
+        ((0.0, 0.5, 0.5), "increasing"),
+        ((0.0, 0.1, 0.5), "uniformly"),
+    ])
+    def test_generator_errors(self, times, match):
+        u = mode_field(unit_grid(), 1, 0)
+        with pytest.raises(ValueError, match=match):
+            nm.spacetime_norm(((t, u) for t in times), nm.MixedNormSpec(4.0, 4.0))
+
     def test_free_flow_linf_l2_is_flat(self):
         g = unit_grid()
         p = DispersionParams(2.5)

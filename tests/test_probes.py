@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -356,6 +357,57 @@ def brute_time_product_norm(alpha, box_a, box_b, nk, nfine, nt):
     return math.sqrt(amp2 * total)
 
 
+def loop_coarea_product_norm(alpha, box_a, box_b, nk, nw, nx):
+    """coarea_product_norm as one (kx, ky) cell at a time: the reference for
+    the row-vectorized form, which keeps its arithmetic and summation order."""
+    xa0, xa1, ya0, ya1 = box_a
+    xb0, xb1, yb0, yb1 = box_b
+    amp2 = 1.0 / ((xa1 - xa0) * (ya1 - ya0) * (xb1 - xb0) * (yb1 - yb0))
+    kx_e = np.linspace(xa0 + xb0, xa1 + xb1, nk + 1)
+    ky_e = np.linspace(ya0 + yb0, ya1 + yb1, nk + 1)
+    kx = 0.5 * (kx_e[:-1] + kx_e[1:])
+    ky = 0.5 * (ky_e[:-1] + ky_e[1:])
+    total = 0.0
+    span_lo, span_hi = math.inf, -math.inf
+    for i, kxi in enumerate(kx):
+        lo, hi = max(xa0, kxi - xb1), min(xa1, kxi - xb0)
+        if hi <= lo:
+            continue
+        xi1 = np.linspace(lo, hi, nx + 1)
+        xi1 = 0.5 * (xi1[:-1] + xi1[1:])
+        dx1 = (hi - lo) / nx
+        xi2 = kxi - xi1
+        for j, kyj in enumerate(ky):
+            ey_lo, ey_hi = max(ya0, kyj - yb1), min(ya1, kyj - yb0)
+            if ey_hi <= ey_lo:
+                continue
+            a = kxi / (xi1 * xi2)
+            b = -2.0 * kyj / xi2
+            c = (np.abs(xi1) ** alpha * xi1 + np.abs(xi2) ** alpha * xi2
+                 + kyj ** 2 / xi2)
+            ey = np.linspace(ey_lo, ey_hi, 9)
+            phis = a[:, None] * ey[None, :] ** 2 + b[:, None] * ey[None, :] + c[:, None]
+            wlo, whi = float(phis.min()), float(phis.max())
+            span_lo, span_hi = min(span_lo, wlo), max(span_hi, whi)
+            if whi <= wlo:
+                continue
+            wgrid = np.linspace(wlo, whi, nw)
+            dw = (whi - wlo) / (nw - 1)
+            disc = b[:, None] ** 2 - 4.0 * a[:, None] * (c[:, None] - wgrid[None, :])
+            ok = disc > 0.0
+            sq = np.sqrt(np.where(ok, disc, 1.0))
+            g = np.zeros(nw)
+            for sgn in (1.0, -1.0):
+                eta1 = (-b[:, None] + sgn * sq) / (2.0 * a[:, None])
+                inside = (ok & (eta1 >= ya0) & (eta1 <= ya1)
+                          & (kyj - eta1 >= yb0) & (kyj - eta1 <= yb1))
+                g += np.sum(np.where(inside, 1.0 / sq, 0.0), axis=0) * dx1
+            cell = (kx_e[i + 1] - kx_e[i]) * (ky_e[j + 1] - ky_e[j])
+            total += cell * float(np.sum(g ** 2)) * dw
+    span = span_hi - span_lo if span_hi > span_lo else 0.0
+    return math.sqrt(math.pi * amp2 * total), span
+
+
 def oracle_boxes():
     (x1, e1), (x2, e2) = pr._resonant_center_from_uniforms(
         P3, 8.0, 2.0, 0.37, 0.61, 0.23, 1.0)
@@ -370,6 +422,32 @@ class TestBilinearOracles:
         fast, _ = pr.coarea_product_norm(3.0, box_a, box_b, 12, 96, 64)
         slow = histogram_product_norm(3.0, box_a, box_b, 12, 64, 400)
         assert fast == pytest.approx(slow, rel=0.03)
+
+    @pytest.mark.parametrize("nk, value, span", [
+        (12, 0.018686180010606266, 1065.0156210855348),
+        (4, 0.018166292214260544, 1061.8509671785869)])
+    def test_golden_values(self, nk, value, span):
+        # captured from the nested-loop quadrature it replaced
+        box_a, box_b = oracle_boxes()
+        got, got_span = pr.coarea_product_norm(3.0, box_a, box_b, nk, 96, 64)
+        assert got == pytest.approx(value, rel=1e-13, abs=0.0)
+        assert got_span == pytest.approx(span, rel=1e-13, abs=0.0)
+
+    def test_rows_equal_cell_loop(self, monkeypatch):
+        # boxes of the canonical bilinear sweep, bit for bit
+        calls = []
+        fast = pr.coarea_product_norm
+
+        def spy(*args):
+            calls.append(args)
+            return fast(*args)
+
+        monkeypatch.setattr(pr, "coarea_product_norm", spy)
+        for n1 in (8.0, 64.0):
+            pr.bilinear_ratio(DispersionParams(2.5), n1, 2.0, trials=2)
+        assert len(calls) == 4
+        for args in calls:
+            assert fast(*args) == loop_coarea_product_norm(*args)
 
     def test_time_decorrelation_matches_brute_quadrature(self):
         box_a, box_b = oracle_boxes()
@@ -418,7 +496,34 @@ class TestBilinearRatio:
 # ------------------------------------------------------ evolution-grid probes
 
 
+def canonical_strichartz_point():
+    """The first band (n = 8) of the CLI's canonical linear Strichartz row."""
+    g = FrequencyGrid(length_x=TWO_PI, length_y=TWO_PI, modes_x=512, modes_y=64)
+    return DispersionParams(2.5), pr.band_bump_field(g, 8.0, 16.0, 2.0)
+
+
 class TestLinearStrichartz:
+    def test_golden_canonical_point(self):
+        # captured when every snapshot was propagated from t = 0 in one shot
+        p, u0 = canonical_strichartz_point()
+        rec = pr.linear_strichartz_ratio(p, MixedNormSpec(4.0, 4.0), u0,
+                                         T=1.0, snapshots=128)
+        assert rec.measured == pytest.approx(0.7009742037269251, rel=1e-12, abs=0.0)
+        assert rec.comparator == pytest.approx(0.7974210416378513, rel=1e-12, abs=0.0)
+
+    def test_trajectory_is_streamed(self):
+        # one snapshot alive at a time: the peak was 133 half fields when the
+        # trajectory was a list
+        p, u0 = canonical_strichartz_point()
+        spec = MixedNormSpec(4.0, 4.0)
+        tracemalloc.start()
+        try:
+            pr.linear_strichartz_ratio(p, spec, u0, T=1.0, snapshots=128)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * u0.half.nbytes
+
     def test_isometry_endpoint_ratio_is_one(self):
         u0 = smooth_field(small_grid())
         rec = pr.linear_strichartz_ratio(P3, MixedNormSpec(math.inf, 2.0), u0,
