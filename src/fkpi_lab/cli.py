@@ -344,7 +344,7 @@ def apply_overrides(raw, assignments):
 
 def _smooth_data(grid, amplitude, l2_target, seed):
     rng = np.random.default_rng([seed, 101])
-    x, y = np.meshgrid(grid.x, grid.y, indexing="ij")
+    x, y = grid.x[:, None], grid.y[None, :]
     samples = amplitude * sum(
         rng.normal() * np.cos(i * x + j * y + rng.uniform(0.0, TWO_PI))
         for i in (1, 2)

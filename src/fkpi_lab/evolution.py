@@ -139,10 +139,9 @@ def _phi(z, k):
 
 @lru_cache(maxsize=8)
 def _etdrk4_tables(grid, alpha, dt):
-    om = _omega_grid(grid, alpha)
-    z = 1j * dt * om
-    e_full = np.exp(z)
-    e_half = np.exp(z / 2.0)
+    z = 1j * dt * _omega_grid(grid, alpha)
+    e_full = _linear_phase(grid, alpha, dt)
+    e_half = _linear_phase(grid, alpha, dt / 2.0)
     q = 0.5 * dt * _phi(z / 2.0, 1)
     f1 = dt * (_phi(z, 1) - 3.0 * _phi(z, 2) + 4.0 * _phi(z, 3))
     # stored doubled: 2 f2 is the only use, and doubling is exact

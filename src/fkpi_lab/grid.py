@@ -49,10 +49,10 @@ ZERO_X_MEAN_RTOL = 1e-12
 class FrequencyGrid:
     """Periodic box geometry plus mode counts. Immutable and hashable."""
 
-    length_x: float = 2.0 * math.pi * 128.0
-    length_y: float = 2.0 * math.pi * 128.0
-    modes_x: int = 256
-    modes_y: int = 256
+    length_x: float
+    length_y: float
+    modes_x: int
+    modes_y: int
 
     def __post_init__(self):
         if not (self.length_x > 0.0 and self.length_y > 0.0):
@@ -86,14 +86,6 @@ class FrequencyGrid:
     @cached_property
     def eta(self):
         return 2.0 * math.pi * np.fft.fftfreq(self.modes_y, d=self.dy)
-
-    @cached_property
-    def xi_grid(self):
-        return np.meshgrid(self.xi, self.eta, indexing="ij")[0]
-
-    @cached_property
-    def eta_grid(self):
-        return np.meshgrid(self.xi, self.eta, indexing="ij")[1]
 
     @cached_property
     def half_shape(self):

@@ -29,7 +29,7 @@ import numpy as np
 from .evolution import box_data_norms, propagate_linear, second_iterate_boxdata
 from .grid import SpectralField, fractional_x_derivative, is_dyadic
 from .norms import AnisoIndex, MixedNormSpec, mass, spacetime_norm
-from .symbols import omega1_arrays, omega_arrays, resonance_difference_arrays
+from .symbols import omega1_arrays, omega_arrays, resonance_arrays
 
 
 @dataclass(frozen=True)
@@ -202,8 +202,8 @@ def band_bump_field(grid, xi_lo, xi_hi, eta_sigma):
     """
     if not (0.0 < xi_lo < xi_hi):
         raise ValueError("band must satisfy 0 < xi_lo < xi_hi")
-    xi = np.abs(grid.xi_grid)
-    eta = grid.eta_grid
+    xi = np.abs(grid.xi)[:, None]
+    eta = grid.eta[None, :]
     center = 0.5 * (xi_lo + xi_hi)
     sigma = 0.25 * (xi_hi - xi_lo)
     bump = np.exp(-0.5 * ((xi - center) / sigma) ** 2 - 0.5 * (eta / eta_sigma) ** 2)
@@ -680,7 +680,7 @@ def _nonresonant_centers(params, n1, n2, l3, rng, max_tries=64):
             continue
         eta1 = rng.uniform(-0.5, 0.5) * n2 ** (alpha / 2.0) * xi1
         eta2 = rng.uniform(-0.5, 0.5) * n2 ** (alpha / 2.0) * xi2
-        om = float(resonance_difference_arrays(alpha, xi1, eta1, xi2, eta2))
+        om = float(resonance_arrays(alpha, xi1, eta1, xi2, eta2))
         if 0.5 * l3 <= abs(om) <= 2.0 * l3:
             return (xi1, eta1), (xi2, eta2)
     raise ValueError("could not place a non-resonant center inside the L3 shell")
@@ -748,17 +748,17 @@ def scaling_norm_pair(params, idx, lam, grid):
     alpha = params.alpha
     m = (alpha + 2.0) / 2.0
     pref = lam ** (-alpha) * lam ** (1.0 + m)
-    xi = grid.xi_grid
-    eta = grid.eta_grid
+    xi = grid.xi[:, None]
+    eta = grid.eta[None, :]
     sx = lam * xi
     sy = lam ** m * eta
     prof = pref * 1j * sx * np.exp(-0.5 * (sx ** 2 + sy ** 2))
     power = (np.abs(prof) ** 2
              * np.where(xi != 0.0, np.abs(xi), 1.0) ** (2.0 * idx.s1)
              * np.where(eta != 0.0, np.abs(eta), 1.0) ** (2.0 * idx.s2))
-    power[xi == 0.0] *= 0.0 if idx.s1 != 0.0 else 1.0
+    power[grid.xi == 0.0] *= 0.0 if idx.s1 != 0.0 else 1.0
     if idx.s2 != 0.0:
-        power[eta == 0.0] = 0.0
+        power[:, grid.eta == 0.0] = 0.0
     lattice = math.sqrt(float(np.sum(power)) * (2.0 * math.pi) ** 2
                         / (grid.length_x * grid.length_y))
     # int |xi|^{2 s1} (lam xi)^2 e^{-(lam xi)^2} dxi etc., Gamma moments

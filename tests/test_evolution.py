@@ -107,6 +107,16 @@ class TestLinearPropagator:
         assert ev._linear_phase(g, ALPHA, 0.25) is table
         assert not table.flags.writeable
 
+    def test_etdrk4_takes_its_phases_from_the_linear_phase(self):
+        g, dt = small_grid(16), 0.0371
+        e_full, e_half = ev._etdrk4_tables(g, ALPHA, dt)[:2]
+        assert e_full is ev._linear_phase(g, ALPHA, dt)
+        assert e_half is ev._linear_phase(g, ALPHA, dt / 2.0)
+        # the same bits as the exponentials of z = i dt omega and z / 2
+        z = 1j * dt * ev._omega_grid(g, ALPHA)
+        assert e_full.tobytes() == np.exp(z).tobytes()
+        assert e_half.tobytes() == np.exp(z / 2.0).tobytes()
+
     def test_rejects_nonzero_x_mean(self):
         g = small_grid(16)
         x, y = np.meshgrid(g.x, g.y, indexing="ij")

@@ -41,6 +41,10 @@ class TestFrequencyGrid:
         with pytest.raises(ValueError):
             G.FrequencyGrid(**args)
 
+    def test_every_field_is_required(self):
+        with pytest.raises(TypeError):
+            G.FrequencyGrid(2 * math.pi, 2 * math.pi, 16)
+
     def test_hashable_and_equal(self):
         assert small_grid() == small_grid()
         assert hash(small_grid()) == hash(small_grid())

@@ -71,6 +71,7 @@ UNCALLED_PUBLIC = {
     "quadratic_energy": "isolates energy_alpha's cubic term against closed forms",
     "normal_determinant_closed_arrays": "closed-form route of the determinant cross-check",
     "normal_determinant_numeric_arrays": "cofactor route of the determinant cross-check",
+    "resonance_difference_arrays": "difference route of the resonance cross-check",
     "sobolev_aniso": "measures propagate_linear's isometry in three Tier-1 tests",
     "load_field": "the reader half of the FKPI1 file format that save_field writes",
     "x_derivative": "public d/dx; nonlinearity folds it into one cached multiplier",

@@ -149,7 +149,7 @@ class TestHalfSums:
         return float(np.sum(weight * np.abs(u.coeffs) ** 2)) / (g.length_x * g.length_y)
 
     def quadratic(self, u, alpha):
-        xi, eta = u.grid.xi_grid, u.grid.eta_grid
+        xi, eta = np.meshgrid(u.grid.xi, u.grid.eta, indexing="ij")
         with np.errstate(divide="ignore", invalid="ignore"):
             transverse = np.where(xi != 0.0, (eta / np.where(xi != 0.0, xi, 1.0)) ** 2, 0.0)
         return 0.5 * self.full_sum(u, np.abs(xi) ** alpha + transverse)
@@ -175,7 +175,7 @@ class TestHalfSums:
 
     def test_sobolev(self):
         u = self.field()
-        xi, eta = u.grid.xi_grid, u.grid.eta_grid
+        xi, eta = np.meshgrid(u.grid.xi, u.grid.eta, indexing="ij")
         for s1, s2 in ((0.0, 0.0), (1.5, -0.5), (-1.0, 2.0)):
             want = math.sqrt(self.full_sum(u, (1.0 + xi * xi) ** s1 * (1.0 + eta * eta) ** s2))
             assert nm.sobolev_aniso(u, nm.AnisoIndex(s1, s2)) == pytest.approx(want, rel=1e-13)

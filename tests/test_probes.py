@@ -496,10 +496,35 @@ class TestBilinearRatio:
 # ------------------------------------------------------ evolution-grid probes
 
 
+LINEAR_GRID = FrequencyGrid(length_x=TWO_PI, length_y=TWO_PI, modes_x=512, modes_y=64)
+LOWFREQ_GRID = FrequencyGrid(length_x=256.0 * math.pi, length_y=16.0 * math.pi,
+                             modes_x=512, modes_y=64)
+
+
 def canonical_strichartz_point():
     """The first band (n = 8) of the CLI's canonical linear Strichartz row."""
-    g = FrequencyGrid(length_x=TWO_PI, length_y=TWO_PI, modes_x=512, modes_y=64)
-    return DispersionParams(2.5), pr.band_bump_field(g, 8.0, 16.0, 2.0)
+    return DispersionParams(2.5), pr.band_bump_field(LINEAR_GRID, 8.0, 16.0, 2.0)
+
+
+def mesh_band_bump_half(grid, xi_lo, xi_hi, eta_sigma):
+    """band_bump_field's profile evaluated on full (modes_x, modes_y) meshes."""
+    xi, eta = np.meshgrid(grid.xi, grid.eta, indexing="ij")
+    xi = np.abs(xi)
+    center = 0.5 * (xi_lo + xi_hi)
+    sigma = 0.25 * (xi_hi - xi_lo)
+    bump = np.exp(-0.5 * ((xi - center) / sigma) ** 2 - 0.5 * (eta / eta_sigma) ** 2)
+    bump *= (xi >= xi_lo) & (xi <= xi_hi)
+    return SpectralField(grid, bump).half
+
+
+class TestBandBump:
+    # the canonical linear bands (n = 128 reaches the Nyquist row) and the
+    # canonical low-frequency bands
+    @pytest.mark.parametrize("grid, n", [(LINEAR_GRID, 2.0 ** k) for k in range(3, 8)]
+                             + [(LOWFREQ_GRID, 2.0 ** -k) for k in range(1, 7)])
+    def test_matches_mesh_construction_bitwise(self, grid, n):
+        got = pr.band_bump_field(grid, n, 2.0 * n, 2.0).half
+        assert got.tobytes() == mesh_band_bump_half(grid, n, 2.0 * n, 2.0).tobytes()
 
 
 class TestLinearStrichartz:
@@ -670,6 +695,28 @@ class TestNonresonantRatio:
 # ---------------------------------------------------------- scaling exponent
 
 
+def mesh_scaling_norm_pair(params, idx, lam, grid):
+    """scaling_norm_pair's lattice and analytic norms on full meshgrids."""
+    alpha = params.alpha
+    m = (alpha + 2.0) / 2.0
+    pref = lam ** (-alpha) * lam ** (1.0 + m)
+    xi, eta = np.meshgrid(grid.xi, grid.eta, indexing="ij")
+    sx = lam * xi
+    sy = lam ** m * eta
+    prof = pref * 1j * sx * np.exp(-0.5 * (sx ** 2 + sy ** 2))
+    power = (np.abs(prof) ** 2
+             * np.where(xi != 0.0, np.abs(xi), 1.0) ** (2.0 * idx.s1)
+             * np.where(eta != 0.0, np.abs(eta), 1.0) ** (2.0 * idx.s2))
+    power[xi == 0.0] *= 0.0 if idx.s1 != 0.0 else 1.0
+    if idx.s2 != 0.0:
+        power[eta == 0.0] = 0.0
+    lattice = math.sqrt(float(np.sum(power)) * (2.0 * math.pi) ** 2
+                        / (grid.length_x * grid.length_y))
+    ix = math.gamma(idx.s1 + 1.5) * lam ** (2.0 - (2.0 * idx.s1 + 3.0))
+    iy = math.gamma(idx.s2 + 0.5) * lam ** (-m * (2.0 * idx.s2 + 1.0))
+    return lattice, pref * math.sqrt(ix * iy)
+
+
 class TestScalingFit:
     LAMBDAS = (0.5, 2.0 ** -0.5, 1.0, 2.0 ** 0.5, 2.0)
     GRID = FrequencyGrid(length_x=64.0 * math.pi, length_y=64.0 * math.pi,
@@ -680,6 +727,24 @@ class TestScalingFit:
                                                  self.GRID)
         assert analytic == pytest.approx(math.sqrt(math.pi / 2.0), rel=1e-12)
         assert lattice == pytest.approx(analytic, rel=1e-6)
+
+    @pytest.mark.parametrize("s1, s2", [(0.0, 0.0), (0.5, 0.25), (-0.5, 0.0)])
+    @pytest.mark.parametrize("lam", [0.5, 2.0])
+    def test_matches_mesh_form_bitwise(self, s1, s2, lam):
+        idx = AnisoIndex(s1, s2)
+        assert (pr.scaling_norm_pair(P3, idx, lam, self.GRID)
+                == mesh_scaling_norm_pair(P3, idx, lam, self.GRID))
+
+    def test_builds_no_coordinate_mesh(self):
+        # a full xi/eta mesh pair adds four real arrays; the mesh form peaks at 9.2
+        real_full = 8 * self.GRID.modes_x * self.GRID.modes_y
+        tracemalloc.start()
+        try:
+            pr.scaling_norm_pair(P3, AnisoIndex(0.5, 0.25), 2.0, self.GRID)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * real_full
 
     def test_fitted_slope_hits_target(self):
         rec, norms = pr.scaling_exponent_fit(P3, AnisoIndex(0.0, 0.0),

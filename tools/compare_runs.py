@@ -1,0 +1,140 @@
+"""Compare the run directories of this checkout against another checkout.
+
+    python3 tools/compare_runs.py PARENT_CHECKOUT
+
+Runs a fixed list of CLI configs (every `cli.SETUPS` row at its canonical
+config, plus a few variants) once against each checkout's `src` and
+compares what each run wrote: `records.*`, `slopes.json`, `plotdata/`,
+`FAILED`, `final_state.fkpi`, the manifest without `timestamp` and
+`config.output_dir`, the exit status, and stderr with checkout paths
+masked.  Every run is a fresh interpreter with only that checkout's `src`
+on its path.  Prints `same` or the differing files per config and exits 1
+if any config differs.  Standard library only; the two checkouts need
+numpy, as the CLI does.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import pathlib
+import subprocess
+import sys
+import tempfile
+
+HERE = pathlib.Path(__file__).resolve().parents[1]
+
+# Sweep pool size of every run: results do not depend on it, and two keeps
+# the load the same on every host.
+WORKERS = 2
+
+# (name, command, --set overrides)
+CONFIGS = [
+    ("simulate", "simulate", []),
+    ("conserve", "conserve", []),
+    ("strichartz-linear", "strichartz", ["strichartz.kind=linear"]),
+    ("strichartz-lowfreq", "strichartz", ["strichartz.kind=lowfreq"]),
+    ("bilinear", "bilinear", []),
+    ("trilinear-lw_band", "trilinear", ["trilinear.regime=lw_band"]),
+    ("trilinear-lw_modulation", "trilinear", ["trilinear.regime=lw_modulation"]),
+    ("trilinear-nonresonant", "trilinear", ["trilinear.regime=nonresonant"]),
+    ("scaling", "scaling", []),
+    ("illposedness", "illposedness", []),
+    ("resonance-scan", "resonance-scan", []),
+    ("transversality", "transversality", []),
+    ("conserve-strang-dense-512", "conserve",
+     ["grid.modes_x=512", "grid.modes_y=512", "evolution.scheme=strang",
+      "evolution.snapshot_stride=1", "evolution.T=0.05"]),
+    ("simulate-strang-64", "simulate",
+     ["grid.modes_x=64", "grid.modes_y=64", "evolution.scheme=strang"]),
+    ("strichartz-linear-shift-0.5", "strichartz",
+     ["strichartz.kind=linear", "strichartz.comparator_shift=-0.5"]),
+    ("trilinear-nonresonant-n1-1-n2-8", "trilinear",
+     ["trilinear.regime=nonresonant", "trilinear.n1=1", "trilinear.n2=8"]),
+    ("illposedness-alpha-2", "illposedness", ["alpha=2.0"]),
+    ("scaling-alpha-3", "scaling", ["alpha=3.0"]),
+    ("transversality-alpha-3", "transversality", ["alpha=3.0"]),
+]
+
+# Runs the CLI, after checking that fkpi_lab came from the given src.
+RUNNER = ("import sys, fkpi_lab, fkpi_lab.cli\n"
+          "if not fkpi_lab.__file__.startswith(sys.argv[1]):\n"
+          "    sys.exit(f'fkpi_lab imported from {fkpi_lab.__file__}')\n"
+          "sys.exit(fkpi_lab.cli.main(sys.argv[2:]))\n")
+
+ARTIFACTS = ("records.csv", "records.jsonl", "slopes.json", "FAILED",
+             "final_state.fkpi")
+
+
+def run_config(checkout, command, overrides, out_dir):
+    """Run one config against checkout/src; returns (status, stderr)."""
+    src = str(checkout / "src")
+    argv = [command, "--output-dir", str(out_dir), "--set", f"workers={WORKERS}"]
+    for item in overrides:
+        argv += ["--set", item]
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", RUNNER, src + os.sep, *argv],
+                          cwd=out_dir.parent, env=env, capture_output=True,
+                          text=True, check=False)
+    return proc.returncode, proc.stderr.replace(src, "<src>")
+
+
+def manifest_digest(path):
+    manifest = json.loads(path.read_text())
+    manifest.pop("timestamp", None)
+    manifest.get("config", {}).pop("output_dir", None)
+    return hashlib.sha256(json.dumps(manifest, sort_keys=True).encode()).hexdigest()
+
+
+def digests(out_dir, status, stderr):
+    """{artifact name: sha256} of one run directory, plus exit and stderr."""
+    found = {"exit": str(status),
+             "stderr": hashlib.sha256(stderr.encode()).hexdigest()}
+    for name in ARTIFACTS:
+        path = out_dir / name
+        if path.exists():
+            found[name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    for path in sorted((out_dir / "plotdata").glob("*")):
+        found[f"plotdata/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    if (out_dir / "manifest.json").exists():
+        found["manifest.json"] = manifest_digest(out_dir / "manifest.json")
+    return found
+
+
+def compare(parent, config, work):
+    name, command, overrides = config
+    seen = []
+    for side, checkout in (("parent", parent), ("change", HERE)):
+        out_dir = work / side / name
+        out_dir.mkdir(parents=True)
+        seen.append(digests(out_dir, *run_config(checkout, command, overrides,
+                                                 out_dir)))
+    old, new = seen
+    return sorted(k for k in set(old) | set(new) if old.get(k) != new.get(k))
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=pathlib.Path,
+                        help="root of the checkout to compare against")
+    args = parser.parse_args(argv)
+    parent = args.parent.resolve()
+    if not (parent / "src" / "fkpi_lab").is_dir():
+        parser.error(f"{parent} has no src/fkpi_lab")
+    differing = 0
+    with tempfile.TemporaryDirectory(prefix="compare_runs-") as tmp:
+        for config in CONFIGS:
+            diff = compare(parent, config, pathlib.Path(tmp))
+            differing += bool(diff)
+            print(f"{config[0]:<34} {'same' if not diff else 'differs: ' + ' '.join(diff)}",
+                  flush=True)
+    total = len(CONFIGS)
+    print(f"{total} configs: " + ("same" if not differing
+                                  else f"{differing} differ"))
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
