@@ -2,11 +2,14 @@
 disk, exit codes for CI gating.
 
 Layout of a run directory:
-  manifest.json    config echo, package/library versions, wall time
+  manifest.json    echo of the config keys the command reads, package/library
+                   versions, wall time
   records.csv      (or records.jsonl with format = "json")
   slopes.json      slope summaries, when the command fits any
   plotdata/*.dat   two-column (x, y) text files, one per fitted curve
+  final_state.fkpi last field of a simulate run
   FAILED           marker file, present only when something failed
+A run removes the files of this layout that it did not write.
 
 Exit status: 0 all records pass, 2 at least one record fails, 1 execution
 error (bad config, solver blowup, ...).  Reruns with identical config and
@@ -16,6 +19,7 @@ seed are byte-identical except for the manifest's timestamp key.
 from __future__ import annotations
 
 import argparse
+import glob
 import json
 import math
 import os
@@ -82,7 +86,7 @@ SCHEMA = {
     "probe": {
         "dyadic_range": _Key(None, "float_list",
                              "sweep points (powers of two, ascending); "
-                             "null = the command's canonical sweep"),
+                             "every row that reads probe sets one"),
         "trials_per_point": _Key(4, "int", "random trials averaged per "
                                  "point; strichartz takes only 1"),
         "tolerance_lo": _Key(None, "float_or_null",
@@ -171,11 +175,10 @@ class RunConfig:
     workers: int
     output_dir: str
     format: str
-    grid: FrequencyGrid
-    evolution: EvolutionConfig
+    grid: FrequencyGrid | None
+    evolution: EvolutionConfig | None
     probe: ProbeSweep | None
     sections: dict
-    echo: dict
 
 
 def _is_number(value):
@@ -283,37 +286,31 @@ def _build_config(raw, command):
     if workers < 0:
         raise ValueError(f"workers must be nonnegative, got {workers}")
 
-    sections = {
-        name: _fill_section(name, cfg.get(name))
-        for name in ("data", "conserve", "strichartz", "bilinear", "trilinear",
-                     "scaling", "illposedness", "scan", "transversality")
-    }
-    regime = sections[cmd][REGIME_KEYS[cmd]] if cmd in REGIME_KEYS else None
-    row_grid, row_probe, _ = SETUPS[cmd, regime]
-    filled = {name: _fill_section(name, cfg.get(name), row) for name, row in
-              (("grid", row_grid), ("evolution", None), ("probe", row_probe))}
-    echo = {"command": cmd, "alpha": alpha, "seed": seed, "workers": workers,
-            "output_dir": cfg.get("output_dir", SCHEMA["output_dir"].default),
-            "format": cfg.get("format", SCHEMA["format"].default), **sections}
-    echo.update((name, filled[name]) for name in filled if name in cfg)
+    key = REGIME_KEYS.get(cmd)
+    regime = _fill_section(cmd, cfg.get(cmd))[key] if key else None
+    reads = _reads(cmd, regime)
+    unread = [name for name in cfg if isinstance(SCHEMA[name], dict)
+              and name not in reads]
+    if unread:
+        raise ValueError(f"{cmd} does not read the section(s) {', '.join(unread)};"
+                         f" it reads {', '.join(reads)}")
+    sections = {name: _fill_section(name, cfg.get(name), row)
+                for name, row in reads.items()}
     # schema keys of these sections are the constructors' field names
-    grid = FrequencyGrid(**filled["grid"])
-    evolution = EvolutionConfig(**filled["evolution"])
-    p = filled["probe"]
+    grid = FrequencyGrid(**sections["grid"]) if "grid" in reads else None
+    evolution = EvolutionConfig(**sections["evolution"]) if "evolution" in reads else None
     probe = None
-    if p["dyadic_range"] is not None:
+    if "probe" in reads:
+        p = sections["probe"]
         lo = -math.inf if p["tolerance_lo"] is None else p["tolerance_lo"]
         probe = ProbeSweep(dyadic_range=p["dyadic_range"],
                            trials_per_point=p["trials_per_point"], seed=seed,
                            tolerance_band=(lo, p["tolerance_hi"]))
-    elif "probe" in cfg:
-        raise ValueError("'probe.dyadic_range' is required when the "
-                         "probe section is given")
     return RunConfig(
         command=cmd, regime=regime, alpha=alpha, seed=seed, workers=workers,
-        output_dir=echo["output_dir"], format=echo["format"],
-        grid=grid, evolution=evolution, probe=probe,
-        sections=sections, echo=echo)
+        output_dir=cfg.get("output_dir", SCHEMA["output_dir"].default),
+        format=cfg.get("format", SCHEMA["format"].default),
+        grid=grid, evolution=evolution, probe=probe, sections=sections)
 
 
 def apply_overrides(raw, assignments):
@@ -471,76 +468,81 @@ def _transversality(params, config, sec):
     return _band_records("transversality", base, pairs, 0.0625, 16.0), []
 
 
-# One row per (command, regime): the canonical grid and sweep, written as the
-# grid and probe keys that differ from the SCHEMA defaults, and the call
-# (params, config, the command's section) -> (records, plot curves).  A grid
-# or probe section given in the config is completed from its row.  Library
+# One row per (command, regime): each section its call reads besides the
+# command's own, with the keys whose canonical value is not SCHEMA's, and
+# the call (params, config, own section) -> (records, plot curves).  Given
+# sections are completed from the row; unread ones are rejected.  Library
 # functions are named inside the calls, so they are looked up when a command
 # runs (perfbench/tracer.py patches them); nothing here runs at import.
 SETUPS = {
-    ("simulate", None): ({}, {}, _simulate),
-    ("conserve", None): ({}, {}, _conserve),
+    ("simulate", None): ({"grid": {}, "evolution": {}, "data": {}}, _simulate),
+    ("conserve", None): ({"grid": {}, "evolution": {}, "data": {}}, _conserve),
     ("strichartz", "linear"): (
-        {"modes_x": 512, "modes_y": 64},
-        {"dyadic_range": (8.0, 16.0, 32.0, 64.0, 128.0), "trials_per_point": 1},
+        {"grid": {"modes_x": 512, "modes_y": 64},
+         "probe": {"dyadic_range": (8.0, 16.0, 32.0, 64.0, 128.0), "trials_per_point": 1}},
         lambda params, c, sec: _curve(linear_strichartz_sweep(
             params, MixedNormSpec(sec["q"], sec["r"]), c.probe, c.grid,
             T=sec["T"], snapshots=sec["snapshots"], eta_sigma=sec["eta_sigma"],
             workers=_pool(c), comparator_shift=sec["comparator_shift"]),
             "linear_strichartz_band_n", c.probe.dyadic_range)),
     ("strichartz", "lowfreq"): (
-        {"length_x": 256.0 * math.pi, "length_y": 16.0 * math.pi,
-         "modes_x": 512, "modes_y": 64},
-        {"dyadic_range": (0.015625, 0.03125, 0.0625, 0.125, 0.25, 0.5),
-         "trials_per_point": 1, "tolerance_lo": -0.2, "tolerance_hi": 0.2},
+        {"grid": {"length_x": 256.0 * math.pi, "length_y": 16.0 * math.pi,
+                  "modes_x": 512, "modes_y": 64},
+         "probe": {"dyadic_range": (0.015625, 0.03125, 0.0625, 0.125, 0.25, 0.5),
+                   "trials_per_point": 1, "tolerance_lo": -0.2, "tolerance_hi": 0.2}},
         lambda params, c, sec: _curve(lowfreq_l4_sweep(
             params, c.probe, c.grid, sec["eta_sigma"], T=sec["T"],
             snapshots=sec["snapshots"], workers=_pool(c),
             comparator_shift=sec["comparator_shift"]),
             "lowfreq_l4_N", c.probe.dyadic_range)),
     ("bilinear", None): (
-        {}, {"dyadic_range": (8.0, 16.0, 32.0, 64.0), "trials_per_point": 8},
+        {"probe": {"dyadic_range": (8.0, 16.0, 32.0, 64.0), "trials_per_point": 8}},
         lambda params, c, sec: _curve(bilinear_sweep(
             params, sec["n2"], c.probe, workers=_pool(c),
             comparator_shift=sec["comparator_shift"],
             resolution=(sec["nk"], sec["nw"], sec["nx"])),
             "bilinear_n1", c.probe.dyadic_range)),
     ("trilinear", "lw_band"): (
-        {}, {"dyadic_range": (8.0, 16.0, 32.0, 64.0), "tolerance_hi": 0.2},
+        {"probe": {"dyadic_range": (8.0, 16.0, 32.0, 64.0), "tolerance_hi": 0.2}},
         _lw_band),
     ("trilinear", "lw_modulation"): (
-        {}, {"dyadic_range": (1.0, 2.0, 4.0, 8.0), "tolerance_hi": 0.2},
+        {"probe": {"dyadic_range": (1.0, 2.0, 4.0, 8.0), "tolerance_hi": 0.2}},
         lambda params, c, sec: _curve(lw_modulation_sweep(
             params, sec["n1"], sec["n2"], c.probe, workers=_pool(c),
             comparator_shift=sec["comparator_shift"], nodes=_nodes(sec)),
             "lw_modulation_l", c.probe.dyadic_range)),
     ("trilinear", "nonresonant"): (
-        {}, {"dyadic_range": (1.0, 2.0, 4.0, 8.0), "tolerance_hi": 0.2},
+        {"probe": {"dyadic_range": (1.0, 2.0, 4.0, 8.0), "tolerance_hi": 0.2}},
         lambda params, c, sec: _curve(nonresonant_modulation_sweep(
             params, sec["n1"], sec["n2"], c.probe,
             l3=sec["l3"] if sec["l3"] > 0.0 else None, workers=_pool(c),
             comparator_shift=sec["comparator_shift"], nodes=_nodes(sec)),
             "nonresonant_l1", c.probe.dyadic_range)),
     ("scaling", None): (
-        {"length_x": 64.0 * math.pi, "length_y": 64.0 * math.pi,
-         "modes_x": 512, "modes_y": 1024}, {}, _scaling),
+        {"grid": {"length_x": 64.0 * math.pi, "length_y": 64.0 * math.pi,
+                  "modes_x": 512, "modes_y": 1024}}, _scaling),
     ("illposedness", None): (
-        {}, {},
+        {},
         lambda params, c, sec: _curve(illposedness_growth_study(
             params, sec["theta"], sec["n_list"],
             sbar=AnisoIndex(sec["s1"], sec["s2"]), t=sec["t"],
             quad_res=sec["quad_res"]), "illposedness_norm_N", sec["n_list"],
             "measured")),
-    ("resonance-scan", None): ({}, {}, _resonance_scan),
-    ("transversality", None): ({}, {}, _transversality),
+    ("resonance-scan", None): ({"scan": {}}, _resonance_scan),
+    ("transversality", None): ({}, _transversality),
 }
 
 # section key that picks the regime of a multi-regime command
 REGIME_KEYS = {"strichartz": "kind", "trilinear": "regime"}
 
 
+def _reads(command, regime):
+    """{section: canonical overrides} of every section the row's call reads."""
+    return {**SETUPS[command, regime][0], **({command: {}} if command in SCHEMA else {})}
+
+
 def _run_setup(config):
-    call = SETUPS[config.command, config.regime][2]
+    call = SETUPS[config.command, config.regime][1]
     return call(DispersionParams(config.alpha), config,
                 config.sections.get(config.command))
 
@@ -563,7 +565,9 @@ def _write_curves(out_dir, curves):
 def _write_manifest(out_dir, config, n_records, failures, wall, error=None):
     manifest = {
         "command": config.command,
-        "config": config.echo,
+        # the six top-level keys, and the sections the command reads
+        "config": {**{key: getattr(config, key) for key, spec in SCHEMA.items()
+                      if not isinstance(spec, dict)}, **config.sections},
         "versions": {
             "fkpi_lab": __version__,
             "numpy": np.__version__,
@@ -580,13 +584,21 @@ def _write_manifest(out_dir, config, n_records, failures, wall, error=None):
         fh.write("\n")
 
 
+def _remove_unwritten(out, written):
+    """Remove each layout file under `out` that this run did not write."""
+    plots = glob.glob(os.path.join("plotdata", "*.dat"), root_dir=out)
+    for name in {"records.csv", "records.jsonl", "slopes.json", "final_state.fkpi",
+                 "FAILED", *plots} - written:
+        if os.path.exists(os.path.join(out, name)):
+            os.remove(os.path.join(out, name))
+
+
 def run(config):
-    """Execute one experiment; returns the process exit status."""
+    """Execute one experiment; returns the process exit status.  Afterwards
+    `output_dir` holds only what this run wrote."""
     out = config.output_dir
     os.makedirs(out, exist_ok=True)
     marker = os.path.join(out, "FAILED")
-    if os.path.exists(marker):
-        os.remove(marker)
     start = time.monotonic()
     try:
         records, curves = HANDLERS[config.command](config)
@@ -595,27 +607,32 @@ def run(config):
         _write_manifest(out, config, 0, [], wall, error=str(exc))
         with open(marker, "w") as fh:
             fh.write(f"error: {exc}\n")
+        _remove_unwritten(out, {"FAILED"})
         print(f"error: {exc}", file=sys.stderr)
         return 1
     wall = time.monotonic() - start
 
-    if config.format == "json":
-        write_records_jsonl(records, os.path.join(out, "records.jsonl"))
-    else:
-        write_records_csv(records, os.path.join(out, "records.csv"))
+    name = "records.jsonl" if config.format == "json" else "records.csv"
+    write = write_records_jsonl if config.format == "json" else write_records_csv
+    write(records, os.path.join(out, name))
+    # _simulate saves the final state
+    written = {name, "final_state.fkpi"} if config.command == "simulate" else {name}
     slopes = slope_report(records)
     if slopes:
         with open(os.path.join(out, "slopes.json"), "w") as fh:
             json.dump(slopes, fh, indent=2, sort_keys=True)
             fh.write("\n")
+        written.add("slopes.json")
     _write_curves(out, curves)
+    written.update(os.path.join("plotdata", c + ".dat") for c, _, _ in curves)
     failures = [r.probe_name for r in records if not r.passed]
     _write_manifest(out, config, len(records), failures, wall)
     if failures:
         with open(marker, "w") as fh:
             fh.write("\n".join(failures) + "\n")
-        return 2
-    return 0
+        written.add("FAILED")
+    _remove_unwritten(out, written)
+    return 2 if failures else 0
 
 
 # ----------------------------------------------------------------------- CLI
@@ -640,19 +657,16 @@ def _schema_help():
             lines += [_describe(f"{key}.{k2}", sub) for k2, sub in spec.items()]
         else:
             lines.append(_describe(key, spec))
-    lines += ["", "canonical setups: grid and probe keys that differ from the "
-              "defaults above;", "a grid or probe section given in the config "
-              "is completed from its row:"]
-    for (command, regime), (grid, probe, _) in SETUPS.items():
-        label = f"{command} {regime or ''}"
-        for name, keys in (("grid", grid), ("probe", probe)):
-            if keys:
-                text = " ".join(f"{k}={v / math.pi:g}pi" if k.startswith("length")
-                                else f"{k}={_shown(v)}" for k, v in keys.items())
-                lines.append(f"  {label:<24} {name}: {text}")
-                label = ""
-        if label:
-            lines.append(f"  {label:<24} (section defaults)")
+    lines += ["", "canonical setups: the sections each command reads, with the "
+              "keys that differ", "from the defaults above; a given section is "
+              "completed from its row, and a", "section the command does not "
+              "read is rejected:"]
+    for command, regime in SETUPS:
+        reads = _reads(command, regime)
+        lines.append(f"  {command + ' ' + (regime or ''):<24} reads {', '.join(reads)}")
+        lines += [f"  {'':<24} {name}: " + " ".join(
+            f"{k}={v / math.pi:g}pi" if k.startswith("length") else f"{k}={_shown(v)}"
+            for k, v in keys.items()) for name, keys in reads.items() if keys]
     lines += [
         "trilinear nonresonant needs n1 <= n2/4: --set trilinear.n1=1 "
         "--set trilinear.n2=8",
@@ -698,11 +712,10 @@ def main(argv=None):
             raw["output_dir"] = args.output_dir
         if args.seed is not None:
             raw["seed"] = args.seed
-        config = _build_config(raw, args.command)
+        return run(_build_config(raw, args.command))
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return run(config)
 
 
 if __name__ == "__main__":

@@ -7,6 +7,8 @@ import math
 import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -53,7 +55,9 @@ class TestParseConfig:
         assert config.evolution == EvolutionConfig(1e-3, 1.0, "etdrk4", 50)
         assert config.probe is None
         assert config.sections["conserve"]["mass_tol"] == 1e-6
-        assert config.sections["transversality"]["samples"] == 1000
+        assert config.sections["data"]["amplitude"] == 0.05
+        # only the sections conserve reads
+        assert set(config.sections) == {"grid", "evolution", "data", "conserve"}
 
     def test_command_from_argument(self):
         config = parse_config("{}", command="scaling")
@@ -145,23 +149,28 @@ class TestParseConfig:
         assert parse_config(text).probe.tolerance_band == (-0.2, 0.2)
 
     def test_probe_needs_dyadic_range(self):
-        # only where the command's row gives no canonical sweep
-        with pytest.raises(ValueError, match="probe.dyadic_range"):
-            parse_config('{"command": "conserve", "probe": {"tolerance_hi": 0.1}}')
+        # every row that reads probe names its sweep, and null is no sweep
+        assert all(reads["probe"]["dyadic_range"]
+                   for reads, _ in cli.SETUPS.values() if "probe" in reads)
+        with pytest.raises(ValueError, match="'probe.dyadic_range' must be a "
+                                             "nonempty list"):
+            parse_config('{"command": "bilinear", "probe": {"dyadic_range": null}}')
 
     def test_probe_section_completed_from_row(self):
         config = parse_config('{"command": "bilinear", "probe": {"tolerance_hi": 0.3}}')
         assert config.probe.dyadic_range == (8.0, 16.0, 32.0, 64.0)
         assert config.probe.trials_per_point == 8
         assert config.probe.tolerance_band == (-math.inf, 0.3)
-        assert config.echo["probe"]["trials_per_point"] == 8
+        assert config.sections["probe"]["trials_per_point"] == 8
 
-    def test_echo_is_json_clean(self):
+    def test_echo_is_json_clean(self, tmp_path):
         config = parse_config(json.dumps(small_conserve_config()))
-        echo = json.loads(json.dumps(config.echo))
+        cli._write_manifest(str(tmp_path), config, 0, [], 0.0)
+        echo = json.loads((tmp_path / "manifest.json").read_text())["config"]
         assert echo["command"] == "conserve"
         assert echo["grid"]["modes_x"] == 32
-        assert echo["scan"]["samples"] == 10000
+        assert echo["data"]["l2_norm"] == 0.1
+        assert "scan" not in echo
 
 
 class TestOverrides:
@@ -217,6 +226,7 @@ class TestHelp:
             assert f"  {command} {regime or ''}" in text
         assert "length_x=256pi length_y=16pi modes_x=512 modes_y=64" in text
         assert "dyadic_range=[8.0, 16.0, 32.0, 64.0] trials_per_point=8" in text
+        assert "strichartz lowfreq       reads grid, probe, strichartz" in text
 
 
 class TestRunArtifacts:
@@ -368,6 +378,18 @@ class TestExitCodes:
                 "their points are deterministic") in capsys.readouterr().err
         assert not (out / "records.csv").exists()
 
+    def test_unusable_output_dir_exits_1_without_traceback(self, tmp_path):
+        (tmp_path / "file").write_text("")
+        src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "fkpi_lab.cli", "resonance-scan",
+             "--output-dir", str(tmp_path / "file" / "x")],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+            check=False)
+        assert proc.returncode == 1
+        assert "error: " in proc.stderr and "Not a directory" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_command_line_set_override(self, tmp_path):
         cfg = write_config(tmp_path, small_conserve_config())
         out = tmp_path / "out"
@@ -375,6 +397,120 @@ class TestExitCodes:
                        "--set", "conserve.energy_tol=1e-30")
         assert code == 2
         assert "energy_drift" in (out / "FAILED").read_text()
+
+
+def run_files(out):
+    return {str(p.relative_to(out)) for p in out.rglob("*") if p.is_file()}
+
+
+class TestReusedOutputDir:
+    """A run directory holds only what the last run wrote."""
+
+    def test_three_commands_in_one_dir(self, tmp_path):
+        out = str(tmp_path / "out")
+        assert run_cli("illposedness", "--output-dir", out) == 0
+        assert run_files(tmp_path / "out") == {
+            "manifest.json", "records.csv", "slopes.json",
+            "plotdata/illposedness_norm_N.dat"}
+        assert run_cli("resonance-scan", "--output-dir", out) == 2
+        assert run_files(tmp_path / "out") == {"manifest.json", "records.csv",
+                                               "FAILED"}
+        # the handler raises: only the error manifest and its marker remain
+        assert run_cli("scaling", "--set", "scaling.lambdas=[0.01, 1, 2, 4]",
+                       "--output-dir", out) == 1
+        assert run_files(tmp_path / "out") == {"manifest.json", "FAILED"}
+        assert "resolution loss" in (tmp_path / "out" / "FAILED").read_text()
+
+    def test_format_switch_keeps_one_records_file(self, tmp_path):
+        cfg = write_config(tmp_path, small_conserve_config())
+        out = tmp_path / "out"
+        assert run_cli("--config", cfg, "--output-dir", str(out)) == 0
+        assert run_cli("--config", cfg, "--output-dir", str(out),
+                       "--set", "format=json") == 0
+        assert (out / "records.jsonl").exists()
+        assert not (out / "records.csv").exists()
+
+    def test_rerun_unlinks_nothing(self, tmp_path):
+        cfg = write_config(tmp_path, small_conserve_config(command="simulate"))
+        out = tmp_path / "out"
+        assert run_cli("--config", cfg, "--output-dir", str(out)) == 0
+        names = run_files(out)
+        assert "final_state.fkpi" in names
+        # a hard link keeps each inode alive: a file unlinked and made again
+        # by the rerun would not be the same file as its link
+        (tmp_path / "links").mkdir()
+        for i, name in enumerate(sorted(names)):
+            os.link(out / name, tmp_path / "links" / str(i))
+        assert run_cli("--config", cfg, "--output-dir", str(out)) == 0
+        assert run_files(out) == names
+        for i, name in enumerate(sorted(names)):
+            assert os.path.samefile(out / name, tmp_path / "links" / str(i)), name
+
+
+# Sections each SETUPS row reads, taken from its handler, with the --set
+# overrides that pick the row.
+READS = {
+    ("simulate", None): ([], {"grid", "evolution", "data"}),
+    ("conserve", None): ([], {"grid", "evolution", "data", "conserve"}),
+    ("strichartz", "linear"): (["strichartz.kind=linear"],
+                               {"grid", "probe", "strichartz"}),
+    ("strichartz", "lowfreq"): (["strichartz.kind=lowfreq"],
+                                {"grid", "probe", "strichartz"}),
+    ("bilinear", None): ([], {"probe", "bilinear"}),
+    ("trilinear", "lw_band"): (["trilinear.regime=lw_band"], {"probe", "trilinear"}),
+    ("trilinear", "lw_modulation"): (["trilinear.regime=lw_modulation"],
+                                     {"probe", "trilinear"}),
+    ("trilinear", "nonresonant"): (["trilinear.regime=nonresonant"],
+                                   {"probe", "trilinear"}),
+    ("scaling", None): ([], {"grid", "scaling"}),
+    ("illposedness", None): ([], {"illposedness"}),
+    ("resonance-scan", None): ([], {"scan"}),
+    ("transversality", None): ([], {"transversality"}),
+}
+TOP_LEVEL = {"command", "alpha", "seed", "workers", "output_dir", "format"}
+
+
+def canonical_echo(tmp_path, command, sets):
+    """The manifest's config echo for a canonical config."""
+    config = parse_config(json.dumps(apply_overrides({}, sets)), command)
+    cli._write_manifest(str(tmp_path), config, 0, [], 0.0)
+    return json.loads((tmp_path / "manifest.json").read_text())["config"]
+
+
+class TestManifestEcho:
+    """The manifest echoes the top-level keys and the sections the command
+    reads; a section it does not read is rejected."""
+
+    def test_every_row_covered(self):
+        assert set(READS) == set(cli.SETUPS)
+
+    @pytest.mark.parametrize("key", list(READS), ids=lambda k: f"{k[0]}-{k[1]}")
+    def test_echo_holds_the_sections_read(self, tmp_path, key):
+        sets, sections = READS[key]
+        assert set(canonical_echo(tmp_path, key[0], sets)) == TOP_LEVEL | sections
+
+    def test_strichartz_linear_echoes_its_grid_and_sweep(self, tmp_path):
+        echo = canonical_echo(tmp_path, "strichartz", [])
+        assert echo["strichartz"]["kind"] == "linear"
+        assert echo["grid"] == {"length_x": TWO_PI, "length_y": TWO_PI,
+                                "modes_x": 512, "modes_y": 64}
+        assert echo["probe"]["dyadic_range"] == [8.0, 16.0, 32.0, 64.0, 128.0]
+
+    @pytest.mark.parametrize("command, setting, section", [
+        ("conserve", "probe.tolerance_hi=0.2", "probe"),
+        ("simulate", "conserve.mass_tol=1e-9", "conserve"),
+        ("strichartz", "evolution.dt=0.01", "evolution"),
+        ("bilinear", "grid.modes_x=64", "grid"),
+        ("trilinear", "data.kind=zero", "data"),
+        ("illposedness", "scan.N=64", "scan"),
+    ])
+    def test_unread_section_rejected(self, tmp_path, capsys, command, setting,
+                                     section):
+        out = tmp_path / "out"
+        assert run_cli(command, "--set", setting, "--output-dir", str(out)) == 1
+        assert (f"error: {command} does not read the section(s) {section};"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
 
 class TestSweepCommands:

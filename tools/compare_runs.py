@@ -8,8 +8,9 @@ compares what each run wrote: `records.*`, `slopes.json`, `plotdata/`,
 `FAILED`, `final_state.fkpi`, the manifest without `timestamp` and
 `config.output_dir`, the exit status, and stderr with checkout paths
 masked.  Every run is a fresh interpreter with only that checkout's `src`
-on its path.  Prints `same` or the differing files per config and exits 1
-if any config differs.  Standard library only; the two checkouts need
+on its path.  Prints `same` or the differing files per config, naming the
+differing manifest keys as dotted paths (`manifest.json: config.grid`), and
+exits 1 if any config differs.  Standard library only; the two checkouts need
 numpy, as the CLI does.
 """
 
@@ -66,6 +67,8 @@ RUNNER = ("import sys, fkpi_lab, fkpi_lab.cli\n"
 
 ARTIFACTS = ("records.csv", "records.jsonl", "slopes.json", "FAILED",
              "final_state.fkpi")
+# prefix of the manifest's dotted keys in a digest map
+MANIFEST = "manifest.json: "
 
 
 def run_config(checkout, command, overrides, out_dir):
@@ -81,11 +84,16 @@ def run_config(checkout, command, overrides, out_dir):
     return proc.returncode, proc.stderr.replace(src, "<src>")
 
 
-def manifest_digest(path):
+def manifest_digests(path):
+    """{dotted key: sha256} of each top-level manifest key and each key under
+    `config`, without `timestamp` and `config.output_dir`."""
     manifest = json.loads(path.read_text())
     manifest.pop("timestamp", None)
-    manifest.get("config", {}).pop("output_dir", None)
-    return hashlib.sha256(json.dumps(manifest, sort_keys=True).encode()).hexdigest()
+    config = manifest.pop("config", {})
+    config.pop("output_dir", None)
+    keys = [*manifest.items(), *(("config." + k, v) for k, v in config.items())]
+    return {k: hashlib.sha256(json.dumps(v, sort_keys=True).encode()).hexdigest()
+            for k, v in keys}
 
 
 def digests(out_dir, status, stderr):
@@ -99,8 +107,16 @@ def digests(out_dir, status, stderr):
     for path in sorted((out_dir / "plotdata").glob("*")):
         found[f"plotdata/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
     if (out_dir / "manifest.json").exists():
-        found["manifest.json"] = manifest_digest(out_dir / "manifest.json")
+        found.update((MANIFEST + key, digest) for key, digest in
+                     manifest_digests(out_dir / "manifest.json").items())
     return found
+
+
+def describe(diff):
+    """The differing names, with the manifest's keys joined after its name."""
+    keys = [k[len(MANIFEST):] for k in diff if k.startswith(MANIFEST)]
+    files = [k for k in diff if not k.startswith(MANIFEST)]
+    return " ".join(files + ([MANIFEST + ", ".join(keys)] if keys else []))
 
 
 def compare(parent, config, work):
@@ -128,8 +144,8 @@ def main(argv=None):
         for config in CONFIGS:
             diff = compare(parent, config, pathlib.Path(tmp))
             differing += bool(diff)
-            print(f"{config[0]:<34} {'same' if not diff else 'differs: ' + ' '.join(diff)}",
-                  flush=True)
+            print(f"{config[0]:<34} "
+                  f"{'same' if not diff else 'differs: ' + describe(diff)}", flush=True)
     total = len(CONFIGS)
     print(f"{total} configs: " + ("same" if not differing
                                   else f"{differing} differ"))
