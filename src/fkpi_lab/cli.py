@@ -5,7 +5,7 @@ Layout of a run directory:
   manifest.json    echo of the config keys the command reads, package/library
                    versions, wall time
   records.csv      (or records.jsonl with format = "json")
-  slopes.json      slope summaries, when the command fits any
+  slopes.json      every slope verdict, when the command fits any
   plotdata/*.dat   two-column (x, y) text files, one per fitted curve
   final_state.fkpi last field of a simulate run
   FAILED           marker file, present only when something failed
@@ -34,6 +34,9 @@ from .evolution import EvolutionConfig, solve
 from .grid import FrequencyGrid, save_field, to_spectral
 from .norms import AnisoIndex, MixedNormSpec, energy_alpha, mass
 from .probes import (
+    SIZE_LAW_BAND,
+    TRANSVERSALITY_BAND,
+    Band,
     ProbeSweep,
     bilinear_sweep,
     linear_strichartz_sweep,
@@ -45,6 +48,7 @@ from .probes import (
     scaling_exponent_fit,
     illposedness_growth_study,
     slope_report,
+    span_records,
     write_records_csv,
     write_records_jsonl,
 )
@@ -391,9 +395,8 @@ def _conserve(params, config, tol):
     records, curves = [], []
     for name, values in (("mass", masses), ("energy", energies)):
         drift = [_rel_drift(v, values[0]) for v in values]
-        cap = tol[name + "_tol"]
-        records.append(make_record(name + "_drift", base, max(drift), cap,
-                                   max(drift) <= cap))
+        band = Band(hi=tol[name + "_tol"])
+        records.append(band.record(name + "_drift", base, max(drift)))
         curves.append((name + "_drift_t", traj.times, drift))
     return records, curves
 
@@ -427,45 +430,28 @@ def _scaling(params, config, sec):
     return [record], [("scaling_norm_lambda", sec["lambdas"], norms)]
 
 
-def _band_records(name, base, pairs, lo, hi):
-    records = []
-    for law, rmin, rmax in pairs:
-        ok = lo <= rmin and rmax <= hi
-        inputs = dict(base, law=law, ratio_min=rmin)
-        records.append(make_record(name, inputs, rmax, hi, ok,
-                                   note=f"band [{lo}, {hi}]"))
-    return records
-
-
 def _resonance_scan(params, config, _):
     sec = config.sections["scan"]
     gamma = sec["N"] ** (-(config.alpha - 1.0) / 2.0 - sec["theta"])
-    report = resonance_size_scan(params, sec["N"], gamma,
-                                 samples=sec["samples"], seed=config.seed)
+    r = resonance_size_scan(params, sec["N"], gamma, samples=sec["samples"],
+                            seed=config.seed)
     base = {"alpha": config.alpha, "N": sec["N"], "gamma": gamma,
             "samples": sec["samples"], "seed": config.seed}
-    pairs = [
-        ("omega1_over_N^alpha*gamma",
-         report.omega1_ratio_min, report.omega1_ratio_max),
-        ("omega_over_N^(alpha-1)*gamma^2",
-         report.omega_ratio_min, report.omega_ratio_max),
-    ]
-    return _band_records("resonance_scan", base, pairs, 0.125, 8.0), []
+    return span_records("resonance_scan", base, [
+        ("omega1_over_N^alpha*gamma", r.omega1_ratio_min, r.omega1_ratio_max),
+        ("omega_over_N^(alpha-1)*gamma^2", r.omega_ratio_min, r.omega_ratio_max),
+    ], SIZE_LAW_BAND), []
 
 
 def _transversality(params, config, sec):
-    report = transversality_check(params, sec["n_max"], sec["n_min"],
-                                  samples=sec["samples"], seed=config.seed,
-                                  c=sec["c"])
+    r = transversality_check(params, sec["n_max"], sec["n_min"],
+                             samples=sec["samples"], seed=config.seed, c=sec["c"])
     base = {"alpha": config.alpha, "n_max": sec["n_max"], "n_min": sec["n_min"],
             "c": sec["c"], "samples": sec["samples"], "seed": config.seed}
-    pairs = [
-        ("cross_over_Nmax^(alpha/2+1)*Nmin",
-         report.cross_ratio_min, report.cross_ratio_max),
-        ("slope_gap_over_Nmax^(alpha/2)",
-         report.slope_gap_ratio_min, report.slope_gap_ratio_max),
-    ]
-    return _band_records("transversality", base, pairs, 0.0625, 16.0), []
+    return span_records("transversality", base, [
+        ("cross_over_Nmax^(alpha/2+1)*Nmin", r.cross_ratio_min, r.cross_ratio_max),
+        ("slope_gap_over_Nmax^(alpha/2)", r.slope_gap_ratio_min, r.slope_gap_ratio_max),
+    ], TRANSVERSALITY_BAND), []
 
 
 # One row per (command, regime): each section its call reads besides the
@@ -602,6 +588,9 @@ def run(config):
     start = time.monotonic()
     try:
         records, curves = HANDLERS[config.command](config)
+        slopes = slope_report(records)
+        # a NaN slope or band edge raises here, before any artifact is written
+        slopes_json = json.dumps(slopes, indent=2, sort_keys=True, allow_nan=False)
     except Exception as exc:  # noqa: BLE001 - the contract is an exit code
         wall = time.monotonic() - start
         _write_manifest(out, config, 0, [], wall, error=str(exc))
@@ -617,11 +606,9 @@ def run(config):
     write(records, os.path.join(out, name))
     # _simulate saves the final state
     written = {name, "final_state.fkpi"} if config.command == "simulate" else {name}
-    slopes = slope_report(records)
     if slopes:
         with open(os.path.join(out, "slopes.json"), "w") as fh:
-            json.dump(slopes, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(slopes_json + "\n")
         written.add("slopes.json")
     _write_curves(out, curves)
     written.update(os.path.join("plotdata", c + ".dat") for c, _, _ in curves)

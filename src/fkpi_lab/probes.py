@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -63,6 +63,57 @@ def make_record(probe_name, inputs, measured, comparator, passed, note=""):
 
 
 @dataclass(frozen=True)
+class Band:
+    """A record's verdict: pass when lo <= v <= hi for each checked column
+    v.  The record carries the band as the columns band_lo, band_hi and, when
+    given, target; an infinite edge is an empty CSV cell and a JSON null."""
+
+    lo: float = -math.inf
+    hi: float = math.inf
+    target: float | None = None
+
+    def record(self, probe_name, inputs, measured, comparator=None,
+               checked=("measured",), note=""):
+        """The verdict record; `checked` names the columns held to the band.
+        The comparator defaults to the target, else the upper edge."""
+        if comparator is None:
+            comparator = self.hi if self.target is None else self.target
+        values = dict(inputs, measured=measured)
+        passed = all(self.lo <= values[c] <= self.hi for c in checked)
+        edges = {"band_lo": self.lo, "band_hi": self.hi}
+        columns = {k: None if math.isinf(v) else v for k, v in edges.items()}
+        if self.target is not None:
+            columns["target"] = self.target
+        return make_record(probe_name, {**inputs, **columns}, measured, comparator,
+                           passed, note)
+
+
+# The resonance and transversality size laws: every sampled ratio within a
+# factor 8 (16) of its law; the growth study's box data norms in [1/4, 4].
+SIZE_LAW_BAND = Band(0.125, 8.0)
+TRANSVERSALITY_BAND = Band(0.0625, 16.0)
+DATA_NORM_BAND = Band(0.25, 4.0)
+
+
+def span_records(probe_name, inputs, spans, band):
+    """One record per (law, ratio_min, ratio_max) span: measured = the max,
+    and both ends held to the band."""
+    return [band.record(probe_name, dict(inputs, law=law, ratio_min=lo), hi,
+                        checked=("ratio_min", "measured")) for law, lo, hi in spans]
+
+
+def growth_band(alpha, theta):
+    """The growth-slope band of illposedness_growth_study."""
+    target = 1.75 - 0.75 * alpha - 1.5 * theta
+    lo, hi = target - 0.1, target + 0.1
+    if alpha < 7.0 / 3.0 - 2.0 * theta:
+        lo = max(lo, 0.0)
+    elif alpha > 7.0 / 3.0 + 2.0 * theta:
+        hi = min(hi, 0.0)
+    return Band(lo, hi, target)
+
+
+@dataclass(frozen=True)
 class ProbeSweep:
     dyadic_range: tuple
     trials_per_point: int = 1
@@ -97,24 +148,6 @@ def fit_loglog_slope(xs, ys):
     return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
 
 
-def _slope_summary(probe_name, var_name, xs, ratios, band, inputs):
-    slope = fit_loglog_slope(xs, ratios)
-    lo, hi = band
-    rec_inputs = dict(inputs)
-    rec_inputs["sweep_variable"] = var_name
-    if math.isfinite(lo):
-        rec_inputs["band_lo"] = lo
-    rec_inputs["band_hi"] = hi
-    return make_record(
-        probe_name + "_slope",
-        rec_inputs,
-        slope,
-        hi,
-        lo <= slope <= hi,
-        note=f"log-log slope of ratio vs {var_name}",
-    )
-
-
 def _run_points(point_fn, keys, workers):
     if workers is None or workers <= 1:
         return [point_fn(k) for k in keys]
@@ -132,15 +165,14 @@ def _sweep(sweep, point, var, inputs, workers, shift=0.0, symbol="N"):
         rec = point(x)
         if shift == 0.0:
             return rec
-        return make_record(rec.probe_name, rec.inputs, rec.measured,
-                           rec.comparator * x ** shift, rec.passed,
-                           note=f"comparator shifted by {symbol}^{shift}")
+        return replace(rec, comparator=rec.comparator * x ** shift,
+                       note=f"comparator shifted by {symbol}^{shift}")
 
     records = _run_points(one, sweep.dyadic_range, workers)
-    summary = _slope_summary(records[0].probe_name, var, sweep.dyadic_range,
-                             [r.ratio for r in records], sweep.tolerance_band,
-                             inputs)
-    return records + [summary]
+    slope = fit_loglog_slope(sweep.dyadic_range, [r.ratio for r in records])
+    return records + [Band(*sweep.tolerance_band).record(
+        records[0].probe_name + "_slope", dict(inputs, sweep_variable=var), slope,
+        note=f"log-log slope of ratio vs {var}")]
 
 
 # ------------------------------------------------------- record persistence
@@ -151,19 +183,16 @@ def _format_cell(value):
         return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
-    return str(value)
+    return "" if value is None else str(value)
 
 
 def write_records_csv(records, path):
     keys = sorted({k for r in records for k in r.inputs})
     header = ["probe"] + keys + ["measured", "comparator", "ratio", "pass", "note"]
-    lines = [",".join(header)]
-    for r in records:
-        row = [r.probe_name]
-        row += [_format_cell(r.inputs[k]) if k in r.inputs else "" for k in keys]
-        row += [repr(r.measured), repr(r.comparator), repr(r.ratio),
-                _format_cell(r.passed), r.note.replace(",", ";")]
-        lines.append(",".join(row))
+    rows = [r.to_dict() for r in records]
+    lines = [",".join(header)] + [
+        ",".join(_format_cell(row.get(k)).replace(",", ";") for k in header)
+        for row in rows]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -175,20 +204,12 @@ def write_records_jsonl(records, path):
 
 
 def slope_report(records):
-    """Collect the *_slope summary records into a JSON-ready list."""
-    out = []
-    for r in records:
-        if not r.probe_name.endswith("_slope"):
-            continue
-        out.append({
-            "probe": r.probe_name,
-            "sweep_variable": r.inputs.get("sweep_variable"),
-            "slope": r.measured,
-            "band_lo": r.inputs.get("band_lo"),
-            "band_hi": r.inputs.get("band_hi"),
-            "pass": r.passed,
-        })
-    return out
+    """The slope verdicts (the records with a sweep variable), JSON-ready."""
+    return [{"probe": r.probe_name, "sweep_variable": r.inputs["sweep_variable"],
+             "slope": r.measured, "band_lo": r.inputs.get("band_lo"),
+             "band_hi": r.inputs.get("band_hi"), "pass": r.passed,
+             **{k: r.inputs[k] for k in ("target",) if k in r.inputs}}
+            for r in records if "sweep_variable" in r.inputs]
 
 
 # --------------------------------------------------- evolution-grid probes
@@ -771,9 +792,11 @@ def scaling_norm_pair(params, idx, lam, grid):
 def scaling_exponent_fit(params, idx, lambdas, grid):
     """Fit the norm-vs-lambda law of the anisotropic rescaling.
 
-    Returns the slope record and the lattice norm at each lambda.
-    pass = |fitted slope - (-3 alpha/4 + 1 - s1 - (alpha/2 + 1) s2)| <= 0.02.
-    Raises when more than 1% of the weighted energy falls off the lattice.
+    Returns the slope record and the lattice norm at each lambda.  The
+    record's band is [target - 0.02, target + 0.02] around the target
+    exponent -3 alpha/4 + 1 - s1 - (alpha/2 + 1) s2, which is also its
+    comparator.  Raises when more than 1% of the weighted energy falls off
+    the lattice.
     """
     if idx.s1 <= -1.25 or idx.s2 <= -0.25:
         raise ValueError("weights below the integrability floor of the profile")
@@ -795,10 +818,9 @@ def scaling_exponent_fit(params, idx, lambdas, grid):
     target = -0.75 * alpha + 1.0 - idx.s1 - (alpha / 2.0 + 1.0) * idx.s2
     inputs = {"alpha": alpha, "s1": idx.s1, "s2": idx.s2,
               "lambda_min": min(lambdas), "lambda_max": max(lambdas),
-              "points": len(lambdas)}
-    return make_record("scaling_exponent", inputs, slope, target,
-                       abs(slope - target) <= 0.02,
-                       note="slope of log norm vs log lambda"), norms
+              "points": len(lambdas), "sweep_variable": "lambda"}
+    return Band(target - 0.02, target + 0.02, target).record(
+        "scaling_exponent", inputs, slope, note="slope of log norm vs log lambda"), norms
 
 
 # ------------------------------------------------------ norm-growth study
@@ -807,10 +829,12 @@ def scaling_exponent_fit(params, idx, lambdas, grid):
 def illposedness_growth_study(params, theta, n_list, sbar=None, t=1.0, quad_res=12):
     """Second-iterate norm growth over a dyadic N sweep.
 
-    Per N: gamma = N^{-(alpha-1)/2-theta}, box data norms checked against
-    [1/4, 4], then the second-iterate norm at time t.  The summary record
-    fits the log-norm slope against 7/4 - 3 alpha/4 - 3 theta/2 (tolerance
-    0.1) and checks the sign away from the alpha = 7/3 threshold.
+    Per N: gamma = N^{-(alpha-1)/2-theta}, the second-iterate norm at time
+    t, and the band [1/4, 4] on the two box data norms (data_norm_1,
+    data_norm_2).  The summary record fits the log-norm slope; its band
+    about the target 7/4 - 3 alpha/4 - 3 theta/2 is [max(target - 0.1, 0),
+    target + 0.1] below alpha = 7/3 - 2 theta (growth), [target - 0.1,
+    min(target + 0.1, 0)] above 7/3 + 2 theta (decay), target +- 0.1 between.
     """
     if not (0.0 < theta <= 0.5):
         raise ValueError(f"theta must lie in (0, 1/2], got {theta}")
@@ -822,31 +846,20 @@ def illposedness_growth_study(params, theta, n_list, sbar=None, t=1.0, quad_res=
     if sbar is None:
         sbar = AnisoIndex(0.0, 0.0)
     alpha = params.alpha
-    records = []
-    values = []
+    records, values = [], []
     for n in ns:
         gamma = n ** (-(alpha - 1.0) / 2.0 - theta)
         d1, d2 = box_data_norms(params, n, gamma, sbar)
-        norms_ok = 0.25 <= d1 <= 4.0 and 0.25 <= d2 <= 4.0
         u2 = second_iterate_boxdata(params, n, gamma, sbar, t, quad_res=quad_res)
         values.append(u2)
-        records.append(make_record(
+        records.append(DATA_NORM_BAND.record(
             "illposedness_growth",
-            {"alpha": alpha, "theta": theta, "N": n, "gamma": gamma, "t": t},
-            u2, d1 * d2, norms_ok,
-            note="" if norms_ok else f"data norms ({d1:.3f}, {d2:.3f}) leave [1/4, 4]"))
-    slope = fit_loglog_slope(ns, values)
-    target = 1.75 - 0.75 * alpha - 1.5 * theta
-    ok = abs(slope - target) <= 0.1
-    threshold = 7.0 / 3.0
-    if alpha < threshold - 2.0 * theta:
-        ok = ok and slope > 0.0
-    elif alpha > threshold + 2.0 * theta:
-        ok = ok and slope < 0.0
-    records.append(make_record(
+            {"alpha": alpha, "theta": theta, "N": n, "gamma": gamma, "t": t,
+             "data_norm_1": d1, "data_norm_2": d2},
+            u2, d1 * d2, checked=("data_norm_1", "data_norm_2")))
+    records.append(growth_band(alpha, theta).record(
         "illposedness_growth_slope",
         {"alpha": alpha, "theta": theta, "n_min": ns[0], "n_max": ns[-1],
-         "points": len(ns), "t": t},
-        slope, target, ok,
-        note="slope of log second-iterate norm vs log N"))
+         "points": len(ns), "t": t, "sweep_variable": "N"},
+        fit_loglog_slope(ns, values), note="slope of log second-iterate norm vs log N"))
     return records

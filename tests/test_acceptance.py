@@ -201,6 +201,7 @@ class TestScalingExponent:
                                          AnisoIndex(s1, s2), self.LAMBDAS,
                                          self.GRID)
         assert record.comparator == pytest.approx(target, abs=1e-12)
+        assert record.inputs["target"] == record.comparator
         assert abs(record.measured - target) <= 0.02
         assert record.passed
 
@@ -217,6 +218,7 @@ class TestNormInflation:
         summary = records[-1]
         target = 1.75 - 0.75 * alpha - 1.5 * self.THETA
         assert summary.comparator == pytest.approx(target, abs=1e-12)
+        assert summary.inputs["target"] == summary.comparator
         assert abs(summary.measured - target) <= 0.1
         assert summary.passed
         assert time.perf_counter() - start < 600.0

@@ -16,6 +16,7 @@ import fkpi_lab.cli as cli
 from fkpi_lab.cli import COMMANDS, RunConfig, apply_overrides, main, parse_config
 from fkpi_lab.evolution import EvolutionConfig
 from fkpi_lab.grid import FrequencyGrid
+from fkpi_lab.probes import Band
 
 TWO_PI = 2.0 * math.pi
 
@@ -591,7 +592,7 @@ OTHER_PROBE_RUNS = {
     "simulate": (SMALL_EVOLUTION, 0, ("energy_t", "mass_t"), 21, None),
     "conserve": (SMALL_EVOLUTION, 0, ("energy_drift_t", "mass_drift_t"), 21,
                  None),
-    "scaling": ([], 0, ("scaling_norm_lambda",), 5, None),
+    "scaling": ([], 0, ("scaling_norm_lambda",), 5, "scaling_exponent"),
     "illposedness": ([], 0, ("illposedness_norm_N",), 6,
                      "illposedness_growth_slope"),
     "resonance-scan": ([], 2, (), 0, None),
@@ -615,6 +616,26 @@ def set_args(sets):
     return [a for s in sets for a in ("--set", s)]
 
 
+# Every SETUPS row as (command, --set overrides), at the configs above.
+ROW_RUNS = {**{f"{c}-{r}": (c, SWEEP_RUNS[c, r][0]) for c, r in SWEEP_RUNS},
+            **{c: (c, OTHER_PROBE_RUNS[c][0]) for c in OTHER_PROBE_RUNS}}
+
+
+@pytest.fixture(scope="module")
+def row_run(tmp_path_factory):
+    """(exit status, output dir) of a ROW_RUNS entry, run once per module."""
+    done = {}
+
+    def run(name, *extra):
+        if (name, extra) not in done:
+            command, sets = ROW_RUNS[name]
+            out = tmp_path_factory.mktemp(name) / "out"
+            code = run_cli(command, *set_args(sets), *extra, "--output-dir", str(out))
+            done[name, extra] = code, out
+        return done[name, extra]
+    return run
+
+
 class TestCanonicalProbeRuns:
     def test_every_sweep_row_covered(self):
         rows = set(SWEEP_RUNS) | {(command, None) for command in OTHER_PROBE_RUNS}
@@ -622,17 +643,17 @@ class TestCanonicalProbeRuns:
         assert {command for command, _ in cli.SETUPS} == set(COMMANDS)
 
     @pytest.mark.parametrize("key", list(SWEEP_RUNS), ids=lambda k: f"{k[0]}-{k[1]}")
-    def test_sweep_row(self, tmp_path, key):
+    def test_sweep_row(self, row_run, key):
         sets, code, curve, points, slope_probe = SWEEP_RUNS[key]
-        out = tmp_path / "out"
-        assert run_cli(key[0], *set_args(sets), "--output-dir", str(out)) == code
+        status, out = row_run(f"{key[0]}-{key[1]}")
+        assert status == code
         check_run_dir(out, (curve,), points, slope_probe)
 
     @pytest.mark.parametrize("command", list(OTHER_PROBE_RUNS))
-    def test_other_probe_command(self, tmp_path, command):
+    def test_other_probe_command(self, row_run, command):
         sets, code, curves, points, slope_probe = OTHER_PROBE_RUNS[command]
-        out = tmp_path / "out"
-        assert run_cli(command, *set_args(sets), "--output-dir", str(out)) == code
+        status, out = row_run(command)
+        assert status == code
         check_run_dir(out, curves, points, slope_probe)
 
     def test_advertised_negative_control_fails(self, tmp_path):
@@ -645,6 +666,59 @@ class TestCanonicalProbeRuns:
         assert code == 2
         slope = json.loads((out / "slopes.json").read_text())[0]
         assert slope["slope"] > slope["band_hi"] == 0.1
+
+
+# The columns each verdict band holds; every other band holds `measured`.
+CHECKED = {"resonance_scan": ("ratio_min", "measured"),
+           "transversality": ("ratio_min", "measured"),
+           "illposedness_growth": ("data_norm_1", "data_norm_2")}
+
+
+def read_records(out):
+    """The records of a run directory as dicts; an empty CSV cell is None."""
+    if (out / "records.jsonl").exists():
+        return [json.loads(line)
+                for line in (out / "records.jsonl").read_text().splitlines()]
+    header, *lines = (out / "records.csv").read_text().splitlines()
+    rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+    return [{k: {"": None, "true": True, "false": False}.get(v, v)
+             for k, v in row.items()} for row in rows]
+
+
+class TestVerdictColumns:
+    """Every verdict is lo <= v <= hi on its band columns: pass is recomputed
+    from band_lo, band_hi and the checked columns of each record."""
+
+    @pytest.mark.parametrize("name, extra", [
+        *((name, ()) for name in ROW_RUNS), ("conserve", ("--set", "format=json"))],
+        ids=[*ROW_RUNS, "conserve-json"])
+    def test_pass_recomputed_from_band(self, row_run, name, extra):
+        code, out = row_run(name, *extra)
+        records = read_records(out)
+        assert (out / ("records.jsonl" if extra else "records.csv")).exists()
+        banded = [r for r in records
+                  if r.get("band_lo") is not None or r.get("band_hi") is not None]
+        for r in banded:
+            lo = -math.inf if r["band_lo"] is None else float(r["band_lo"])
+            hi = math.inf if r["band_hi"] is None else float(r["band_hi"])
+            checked = CHECKED.get(r["probe"], ("measured",))
+            assert r["pass"] == all(lo <= float(r[c]) <= hi for c in checked), r
+        assert all(r in banded for r in records if not r["pass"])
+        assert code == (0 if all(r["pass"] for r in records) else 2)
+        assert banded or name == "simulate"
+
+    def test_nan_slope_or_edge_exits_1_without_slopes(self, tmp_path, monkeypatch,
+                                                       capsys):
+        for i, (band, slope) in enumerate([(Band(hi=0.1), math.nan),
+                                           (Band(lo=math.nan, hi=0.1), 0.0)]):
+            record = band.record("x_slope", {"sweep_variable": "n"}, slope)
+            assert not record.passed
+            monkeypatch.setitem(cli.HANDLERS, "scaling",
+                                lambda config, record=record: ([record], []))
+            out = tmp_path / f"out{i}"
+            assert run_cli("scaling", "--output-dir", str(out)) == 1
+            assert "not JSON compliant" in capsys.readouterr().err
+            assert sorted(p.name for p in out.iterdir()) == ["FAILED", "manifest.json"]
 
 
 LOWFREQ_RANGE = [0.015625, 0.03125, 0.0625, 0.125, 0.25, 0.5]

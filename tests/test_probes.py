@@ -163,6 +163,115 @@ class TestPersistence:
         assert rep[0]["slope"] == pytest.approx(-0.05)
         assert rep[0]["band_lo"] is None and rep[0]["band_hi"] == 0.1
 
+    def test_slope_report_selects_by_sweep_variable(self):
+        recs = [pr.make_record("b_slope", {}, 0.5, 1.0, True),
+                pr.Band(-1.27, -1.23, -1.25).record(
+                    "scaling_exponent", {"sweep_variable": "lambda"}, -1.24)]
+        assert pr.slope_report(recs) == [{
+            "probe": "scaling_exponent", "sweep_variable": "lambda", "slope": -1.24,
+            "band_lo": -1.27, "band_hi": -1.23, "pass": True, "target": -1.25}]
+
+
+class TestBand:
+    def test_two_sided(self):
+        band = pr.Band(-0.2, 0.2)
+        for value, ok in ((-0.2, True), (0.0, True), (0.2, True),
+                          (-0.2000001, False), (0.2000001, False), (math.nan, False)):
+            rec = band.record("a_slope", {"sweep_variable": "n"}, value)
+            assert rec.passed is ok
+            assert rec.inputs["band_lo"] == -0.2 and rec.inputs["band_hi"] == 0.2
+            assert rec.comparator == 0.2 and "target" not in rec.inputs
+
+    def test_one_sided_edges_are_empty_cells_and_nulls(self, tmp_path):
+        cap, floor = pr.Band(hi=0.1), pr.Band(lo=0.0)
+        recs = [cap.record("a", {}, -1e300), cap.record("b", {}, 0.1000001),
+                floor.record("c", {}, 1e300), floor.record("d", {}, -1e-300)]
+        assert [r.passed for r in recs] == [True, False, True, False]
+        assert recs[0].inputs["band_lo"] is None and recs[0].inputs["band_hi"] == 0.1
+        assert recs[2].inputs["band_lo"] == 0.0 and recs[2].inputs["band_hi"] is None
+        pr.write_records_csv(recs, tmp_path / "records.csv")
+        lines = (tmp_path / "records.csv").read_text().splitlines()
+        assert lines[0].startswith("probe,band_hi,band_lo,measured,")
+        assert lines[1].startswith("a,0.1,,") and lines[3].startswith("c,,0.0,")
+        pr.write_records_jsonl(recs, tmp_path / "records.jsonl")
+        rows = [json.loads(line)
+                for line in (tmp_path / "records.jsonl").read_text().splitlines()]
+        assert rows[0]["band_lo"] is None and rows[2]["band_hi"] is None
+
+    def test_target_column_and_comparator(self):
+        band = pr.Band(-1.27, -1.23, -1.25)
+        rec = band.record("scaling_exponent", {"sweep_variable": "lambda"}, -1.26)
+        assert rec.passed
+        assert rec.inputs["target"] == rec.comparator == -1.25
+        assert band.record("x", {}, -1.2, comparator=3.0).comparator == 3.0
+
+    def test_checked_columns_replace_measured(self):
+        band = pr.DATA_NORM_BAND
+        ok = band.record("g", {"d1": 0.25, "d2": 4.0}, 1e9, 1.0, checked=("d1", "d2"))
+        bad = band.record("g", {"d1": 0.3, "d2": 4.1}, 1.0, 1.0, checked=("d1", "d2"))
+        assert ok.passed and not bad.passed
+        assert ok.comparator == 1.0
+
+    def test_span_checks_both_ends(self):
+        spans = [("inside", 0.2, 7.0), ("edges", 0.125, 8.0), ("low", 0.1, 7.0),
+                 ("high", 0.2, 9.0), ("both", 0.01, 100.0)]
+        recs = pr.span_records("scan", {"N": 2.0}, spans, pr.SIZE_LAW_BAND)
+        assert [r.passed for r in recs] == [True, True, False, False, False]
+        for rec, (law, lo, hi) in zip(recs, spans):
+            # the rule before the band: lo <= ratio_min and ratio_max <= hi
+            assert rec.passed == (0.125 <= lo and hi <= 8.0)
+            assert rec.inputs["law"] == law and rec.inputs["ratio_min"] == lo
+            assert rec.measured == hi and rec.comparator == 8.0
+            assert rec.inputs["band_lo"] == 0.125 and rec.inputs["band_hi"] == 8.0
+        wide = pr.span_records("t", {}, [("x", 0.0625, 16.0)], pr.TRANSVERSALITY_BAND)
+        assert wide[0].passed and wide[0].comparator == 16.0
+
+
+def old_growth_verdict(alpha, theta, slope):
+    """The growth-slope rule the band replaced: |slope - target| <= 0.1, and
+    a strict sign away from the alpha = 7/3 threshold."""
+    target = 1.75 - 0.75 * alpha - 1.5 * theta
+    ok = abs(slope - target) <= 0.1
+    if alpha < 7.0 / 3.0 - 2.0 * theta:
+        ok = ok and slope > 0.0
+    elif alpha > 7.0 / 3.0 + 2.0 * theta:
+        ok = ok and slope < 0.0
+    return ok
+
+
+class TestGrowthBand:
+    THETA = 0.05
+
+    @pytest.mark.parametrize("alpha, lo, hi", [
+        (2.0, 0.075, 0.275), (2.2, 0.0, 0.125), (7.0 / 3.0, -0.175, 0.025),
+        (2.5, -0.3, -0.1), (3.0, -0.675, -0.475)])
+    def test_edges(self, alpha, lo, hi):
+        # 2.0 and 2.2 lie below 7/3 - 2 theta, 2.5 and 3 above 7/3 + 2 theta;
+        # only 2.2's lower edge and 2.5's upper edge are moved to zero
+        band = pr.growth_band(alpha, self.THETA)
+        assert band.target == pytest.approx(1.75 - 0.75 * alpha - 0.075, abs=1e-15)
+        assert band.lo == pytest.approx(lo, abs=1e-15)
+        assert band.hi == pytest.approx(hi, abs=1e-15)
+
+    @pytest.mark.parametrize("alpha", [2.0, 2.2, 7.0 / 3.0, 2.5, 3.0])
+    def test_verdict_matches_old_rule(self, alpha):
+        band = pr.growth_band(alpha, self.THETA)
+        recs = pr.illposedness_growth_study(DispersionParams(alpha), self.THETA,
+                                            [32.0, 64.0, 128.0, 256.0, 512.0],
+                                            quad_res=8)
+        fitted = recs[-1].measured
+        assert recs[-1].passed == old_growth_verdict(alpha, self.THETA, fitted)
+        slopes = [fitted, -1e-9, 1e-9] + [band.target + d for d in (
+            0.0, 0.05, -0.05, 0.099, -0.099, 0.101, -0.101, 0.3, -0.3)]
+        for slope in slopes:
+            new = band.record("s", {}, slope).passed
+            assert new == old_growth_verdict(alpha, self.THETA, slope), slope
+        # Only a slope of exactly 0.0 can differ: the old sign rule was strict,
+        # the band's zero edge is closed.  Of these alphas that is 2.2 only.
+        zero = band.record("s", {}, 0.0).passed
+        assert zero == (band.lo <= 0.0 <= band.hi)
+        assert (zero != old_growth_verdict(alpha, self.THETA, 0.0)) == (alpha == 2.2)
+
 
 class TestLatticeFunction:
     def test_rejects_negative_values(self):
@@ -751,6 +860,10 @@ class TestScalingFit:
                                              self.LAMBDAS, self.GRID)
         assert rec.passed
         assert rec.comparator == pytest.approx(-1.25)
+        assert rec.inputs["target"] == rec.comparator
+        assert rec.inputs["band_lo"] == rec.comparator - 0.02
+        assert rec.inputs["band_hi"] == rec.comparator + 0.02
+        assert rec.inputs["sweep_variable"] == "lambda"
         assert abs(rec.measured - rec.comparator) <= 0.02
         # the returned norms are the lattice norms the slope was fitted to
         assert norms == [pr.scaling_norm_pair(P3, AnisoIndex(0.0, 0.0), lam,
@@ -806,6 +919,13 @@ class TestGrowthStudy:
             assert rec.probe_name == "illposedness_growth"
             assert rec.inputs["N"] == n
             assert rec.inputs["gamma"] == pytest.approx(n ** -0.85)
+            assert rec.passed
+            assert 0.25 <= rec.inputs["data_norm_1"] <= 4.0
+            assert 0.25 <= rec.inputs["data_norm_2"] <= 4.0
+            assert rec.comparator == rec.inputs["data_norm_1"] * rec.inputs["data_norm_2"]
+            assert (rec.inputs["band_lo"], rec.inputs["band_hi"]) == (0.25, 4.0)
         summary = recs[-1]
         assert summary.probe_name == "illposedness_growth_slope"
         assert summary.comparator == pytest.approx(1.75 - 0.75 * 2.5 - 0.15)
+        assert summary.inputs["target"] == summary.comparator
+        assert summary.inputs["sweep_variable"] == "N"

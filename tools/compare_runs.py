@@ -9,9 +9,10 @@ compares what each run wrote: `records.*`, `slopes.json`, `plotdata/`,
 `config.output_dir`, the exit status, and stderr with checkout paths
 masked.  Every run is a fresh interpreter with only that checkout's `src`
 on its path.  Prints `same` or the differing files per config, naming the
-differing manifest keys as dotted paths (`manifest.json: config.grid`), and
-exits 1 if any config differs.  Standard library only; the two checkouts need
-numpy, as the CLI does.
+differing manifest keys as dotted paths (`manifest.json: config.grid`) and
+the differing records columns (`records.csv: band_hi, band_lo`), and exits 1
+if any config differs.  Standard library only; the two checkouts need numpy,
+as the CLI does.
 """
 
 from __future__ import annotations
@@ -67,8 +68,6 @@ RUNNER = ("import sys, fkpi_lab, fkpi_lab.cli\n"
 
 ARTIFACTS = ("records.csv", "records.jsonl", "slopes.json", "FAILED",
              "final_state.fkpi")
-# prefix of the manifest's dotted keys in a digest map
-MANIFEST = "manifest.json: "
 
 
 def run_config(checkout, command, overrides, out_dir):
@@ -96,6 +95,25 @@ def manifest_digests(path):
             for k, v in keys}
 
 
+def column_digests(path):
+    """{column: sha256} of a records file, each column's cells in row order; a
+    record without the column reads as null (jsonl) or an empty cell (csv)."""
+    lines = path.read_text().splitlines()
+    if path.suffix == ".csv":
+        header = lines[0].split(",")
+        rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+    else:
+        rows = [json.loads(line) for line in lines]
+        header = sorted({k for row in rows for k in row})
+    return {k: hashlib.sha256(json.dumps([row.get(k) for row in rows]).encode())
+            .hexdigest() for k in header}
+
+
+# files whose keys or columns a digest map names after "<file>: "
+KEYED = {"manifest.json": manifest_digests, "records.csv": column_digests,
+         "records.jsonl": column_digests}
+
+
 def digests(out_dir, status, stderr):
     """{artifact name: sha256} of one run directory, plus exit and stderr."""
     found = {"exit": str(status),
@@ -106,17 +124,21 @@ def digests(out_dir, status, stderr):
             found[name] = hashlib.sha256(path.read_bytes()).hexdigest()
     for path in sorted((out_dir / "plotdata").glob("*")):
         found[f"plotdata/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
-    if (out_dir / "manifest.json").exists():
-        found.update((MANIFEST + key, digest) for key, digest in
-                     manifest_digests(out_dir / "manifest.json").items())
+    for name, keyed in KEYED.items():
+        if (out_dir / name).exists():
+            found.update((f"{name}: {key}", digest) for key, digest in
+                         keyed(out_dir / name).items())
     return found
 
 
 def describe(diff):
-    """The differing names, with the manifest's keys joined after its name."""
-    keys = [k[len(MANIFEST):] for k in diff if k.startswith(MANIFEST)]
-    files = [k for k in diff if not k.startswith(MANIFEST)]
-    return " ".join(files + ([MANIFEST + ", ".join(keys)] if keys else []))
+    """The differing names; a keyed file's differing keys are joined after its
+    name, which alone means its bytes differ but no key does."""
+    keys = {name: [k[len(name) + 2:] for k in diff if k.startswith(name + ": ")]
+            for name in KEYED}
+    files = [k for k in diff if ": " not in k and not keys.get(k)]
+    return " ".join(files + [f"{name}: " + ", ".join(ks)
+                             for name, ks in keys.items() if ks])
 
 
 def compare(parent, config, work):
@@ -127,7 +149,11 @@ def compare(parent, config, work):
         out_dir.mkdir(parents=True)
         seen.append(digests(out_dir, *run_config(checkout, command, overrides,
                                                  out_dir)))
-    old, new = seen
+    return differing(*seen)
+
+
+def differing(old, new):
+    """The sorted names whose digests differ between two digest maps."""
     return sorted(k for k in set(old) | set(new) if old.get(k) != new.get(k))
 
 
