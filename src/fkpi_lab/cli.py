@@ -71,7 +71,9 @@ class _Key:
 SCHEMA = {
     "command": _Key(None, "str", "experiment to run", COMMANDS),
     "alpha": _Key(2.5, "float", "dispersion exponent, 2 <= alpha < 4"),
-    "seed": _Key(0, "int", "master seed for all randomized probes"),
+    "seed": _Key(0, "int", "seed of the random data and samples; read by "
+                 "simulate, conserve, bilinear, trilinear, resonance-scan, "
+                 "transversality"),
     "workers": _Key(0, "int", "sweep worker pool size; 0 = logical cores"),
     "output_dir": _Key("fkpi-out", "str", "directory for run artifacts"),
     "format": _Key("csv", "str", "records file format", ("csv", "json")),
@@ -371,9 +373,11 @@ def _evolve(params, config):
         u0 = to_spectral(np.zeros((grid.modes_x, grid.modes_y)), grid)
     else:
         u0 = _smooth_data(grid, data["amplitude"], data["l2_norm"], config.seed)
-    traj = solve(params, u0, ev)
-    masses = [mass(f) for f in traj.fields]
-    energies = [energy_alpha(params, f) for f in traj.fields]
+    # mass and energy of each snapshot as the march reaches it; only the
+    # final field is kept
+    traj = solve(params, u0, ev,
+                 observe=lambda f: (mass(f), energy_alpha(params, f)))
+    masses, energies = zip(*traj.observed)
     base = {"alpha": config.alpha, "dt": ev.dt, "T": ev.T, "scheme": ev.scheme,
             "seed": config.seed}
     return traj, base, masses, energies

@@ -67,9 +67,13 @@ class EvolutionConfig:
 
 @dataclass
 class Trajectory:
+    """The recorded times, and either every recorded field or, when `solve`
+    was given an observer, the final field alone with `observed` holding
+    the observer's result at each recorded time."""
     config: EvolutionConfig
     times: list
     fields: list
+    observed: list | None = None
 
 
 @lru_cache(maxsize=16)
@@ -203,16 +207,21 @@ def step(params, field, config):
     return _strang_step(params, field, config.dt)
 
 
-def solve(params, u0, config):
+def solve(params, u0, config, observe=None):
     """March to T = config.T, recording every snapshot_stride-th state.
 
-    The initial state and the final state are always recorded.  Raises
-    BlowupError (with the offending step index) on nonfinite output.
+    The initial state and the final state are always recorded.  Without an
+    observer every recorded field is kept.  With one, `observe(u)` runs on
+    each recorded state as the march reaches it, its results go to
+    `observed`, and `fields` holds the final state only, so no snapshot
+    outlives its step.  Raises BlowupError (with the offending step index)
+    on nonfinite output.
     """
     require_zero_x_mean(u0, "solve")
     n = config.n_steps()
     times = [0.0]
     fields = [u0]
+    observed = None if observe is None else [observe(u0)]
     u = u0
     for i in range(1, n + 1):
         u = step(params, u, config)
@@ -220,8 +229,13 @@ def solve(params, u0, config):
             raise BlowupError(i, i * config.dt)
         if i % config.snapshot_stride == 0 or i == n:
             times.append(i * config.dt)
-            fields.append(u)
-    return Trajectory(config=config, times=times, fields=fields)
+            if observe is None:
+                fields.append(u)
+            else:
+                observed.append(observe(u))
+    if observe is not None:
+        fields = [u]
+    return Trajectory(config=config, times=times, fields=fields, observed=observed)
 
 
 # ------------------------------------------------------------------- Picard

@@ -147,13 +147,12 @@ class TestConservation:
         u0 = _smooth_data(grid, 0.05, 0.1, seed=0)
         assert math.sqrt(mass(u0)) == pytest.approx(0.1, rel=1e-12)
         params = S.DispersionParams(3.0)
-        traj = solve(params, u0, EvolutionConfig(dt=1e-3, T=1.0,
-                                                 snapshot_stride=50))
-        m0 = mass(traj.fields[0])
-        e0 = energy_alpha(params, traj.fields[0])
-        mass_drift = max(abs(mass(f) - m0) for f in traj.fields) / m0
-        energy_drift = max(abs(energy_alpha(params, f) - e0)
-                           for f in traj.fields) / abs(e0)
+        traj = solve(params, u0, EvolutionConfig(dt=1e-3, T=1.0, snapshot_stride=50),
+                     observe=lambda f: (mass(f), energy_alpha(params, f)))
+        assert len(traj.observed) == 21
+        (m0, e0), *_ = traj.observed
+        mass_drift = max(abs(m - m0) for m, _ in traj.observed) / m0
+        energy_drift = max(abs(e - e0) for _, e in traj.observed) / abs(e0)
         assert mass_drift <= 1e-6
         assert energy_drift <= 1e-4
 

@@ -9,6 +9,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -299,6 +300,25 @@ class TestRunArtifacts:
         assert run_cli("--config", cfg, "--output-dir", str(out)) == 0
         assert (out / "final_state.fkpi").stat().st_size > 0
         assert (out / "plotdata" / "mass_t.dat").exists()
+
+    @pytest.mark.parametrize("command", ["conserve", "simulate"])
+    def test_peak_memory_does_not_grow_with_snapshots(self, tmp_path, command):
+        # every step is a snapshot; the observed run keeps none of them, so
+        # 180 more snapshots must cost less than two 64^2 half spectra
+        def peak(steps):
+            config = parse_config(json.dumps(small_conserve_config(
+                command=command, alpha=2.5, grid={"modes_x": 64, "modes_y": 64},
+                evolution={"dt": 1e-3, "T": steps * 1e-3, "snapshot_stride": 1},
+                output_dir=str(tmp_path / f"out{steps}"))))
+            tracemalloc.start()
+            try:
+                assert cli.run(config) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        peak(20)  # warm the phase tables and imports
+        half_bytes = 64 * (64 // 2 + 1) * 16
+        assert peak(200) - peak(20) < 2 * half_bytes
 
     def test_seed_flag_enters_echo(self, tmp_path):
         cfg = write_config(tmp_path, small_conserve_config())
@@ -666,6 +686,65 @@ class TestCanonicalProbeRuns:
         assert code == 2
         slope = json.loads((out / "slopes.json").read_text())[0]
         assert slope["slope"] > slope["band_hi"] == 0.1
+
+
+def artifacts(out):
+    """({file: bytes} of a run directory without its manifest, the manifest
+    without its timestamp)."""
+    files = {name: (out / name).read_bytes() for name in run_files(out)}
+    manifest = json.loads(files.pop("manifest.json"))
+    manifest.pop("timestamp")
+    return files, manifest
+
+
+class TestReplay:
+    """A manifest is a complete recipe: its config, fed back as --config,
+    writes the same artifacts byte for byte."""
+
+    @pytest.mark.parametrize("name", list(ROW_RUNS))
+    def test_manifest_config_reproduces_the_run(self, row_run, tmp_path, name):
+        code, out = row_run(name)
+        files, manifest = artifacts(out)
+        assert "records.csv" in files
+        recipe = dict(manifest["config"], command=manifest["command"])
+        replay = tmp_path / "replay"
+        assert run_cli("--config", write_config(tmp_path, recipe),
+                       "--output-dir", str(replay)) == code
+        replayed, replayed_manifest = artifacts(replay)
+        assert replayed == files
+        assert replayed_manifest["config"].pop("output_dir") == str(replay)
+        manifest["config"].pop("output_dir")
+        assert replayed_manifest == manifest
+
+
+# The commands whose results depend on the top-level seed, as its help names
+# them.
+SEED_READERS = {c for c in COMMANDS
+                if re.search(rf"(^|[ ,]){c}([ ,]|$)", cli.SCHEMA["seed"].help)}
+
+
+class TestSeed:
+    def test_help_names_the_commands_that_read_it(self):
+        assert SEED_READERS == {"simulate", "conserve", "bilinear", "trilinear",
+                                "resonance-scan", "transversality"}
+        assert sorted(n for n in ROW_RUNS if ROW_RUNS[n][0] not in SEED_READERS) == [
+            "illposedness", "scaling", "strichartz-linear", "strichartz-lowfreq"]
+
+    @pytest.mark.parametrize("name", [n for n in ROW_RUNS
+                                      if ROW_RUNS[n][0] not in SEED_READERS])
+    def test_other_rows_ignore_it(self, row_run, name):
+        (_, base), (_, seeded) = row_run(name), row_run(name, "--seed", "7")
+        files, manifest = artifacts(base)
+        files_7, manifest_7 = artifacts(seeded)
+        assert files_7 == files
+        assert (manifest["config"]["seed"], manifest_7["config"]["seed"]) == (0, 7)
+
+    @pytest.mark.parametrize("name", [n for n in ROW_RUNS
+                                      if ROW_RUNS[n][0] in SEED_READERS])
+    def test_readers_measure_other_values(self, row_run, name):
+        (_, base), (_, seeded) = row_run(name), row_run(name, "--seed", "7")
+        assert ([r["measured"] for r in read_records(seeded)]
+                != [r["measured"] for r in read_records(base)])
 
 
 # The columns each verdict band holds; every other band holds `measured`.

@@ -54,3 +54,23 @@ def test_jsonl_missing_key_reads_as_null(tmp_path):
     assert (diff_of(tmp_path, {"records.jsonl": old, "slopes.json": "[]"},
                     {"records.jsonl": new, "slopes.json": "[1]"})
             == "slopes.json records.jsonl: band_hi, measured")
+
+
+def test_report_shows_both_peaks_before_the_verdict():
+    line = compare_runs.report("conserve", [], [158.31, 62.9])
+    assert line.split() == ["conserve", "peak", "RSS", "158.3", "->", "62.9", "MB",
+                            "same"]
+    line = compare_runs.report("simulate", ["final_state.fkpi"], [None, 50.0])
+    assert "peak RSS ? -> 50.0 MB" in line
+    assert line.endswith(" differs: final_state.fkpi")
+
+
+def test_run_reports_its_peak_rss(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    status, stderr, peak = compare_runs.run_config(
+        compare_runs.HERE, "transversality", ["transversality.samples=50"], out)
+    assert (status, stderr) == (0, "")
+    # numpy alone takes some MB; a run this small takes well under a GB
+    assert 10.0 < peak < 1000.0
+    assert (out / "records.csv").exists()

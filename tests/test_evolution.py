@@ -270,6 +270,51 @@ class TestSolveBookkeeping:
         assert traj.times == [0.0]
         assert traj.fields[0] is u
 
+    @pytest.mark.parametrize("scheme", ev.SCHEMES)
+    def test_observer_sees_each_recorded_state_in_order(self, scheme):
+        g = small_grid(16)
+        u = smooth_field(g, amplitude=0.5)
+        p = DispersionParams(ALPHA)
+        # 10 steps at stride 3: the final step is off the stride
+        cfg = ev.EvolutionConfig(dt=0.1, T=1.0, scheme=scheme, snapshot_stride=3)
+        kept = ev.solve(p, u, cfg)
+        seen = []
+
+        def observe(f):
+            seen.append(f)
+            return len(seen)
+        traj = ev.solve(p, u, cfg, observe=observe)
+        assert traj.times == kept.times
+        assert traj.observed == [1, 2, 3, 4, 5]
+        assert len(seen) == len(kept.fields) == 5
+        assert seen[0] is u
+        for got, want in zip(seen, kept.fields):
+            assert np.array_equal(got.half, want.half)
+        assert kept.observed is None
+
+    def test_observer_at_zero_horizon(self):
+        g = small_grid(16)
+        u = smooth_field(g)
+        seen = []
+        traj = ev.solve(DispersionParams(ALPHA), u, ev.EvolutionConfig(dt=0.1, T=0.0),
+                        observe=seen.append)
+        assert seen == [u]
+        assert traj.times == [0.0]
+        assert traj.observed == [None]
+        assert traj.fields == [u]
+
+    @pytest.mark.parametrize("scheme", ev.SCHEMES)
+    def test_observed_run_keeps_the_final_state_only(self, scheme):
+        g = small_grid(32)
+        u = smooth_field(g, amplitude=0.5)
+        p = DispersionParams(ALPHA)
+        cfg = ev.EvolutionConfig(dt=0.05, T=1.0, scheme=scheme, snapshot_stride=1)
+        kept = ev.solve(p, u, cfg)
+        traj = ev.solve(p, u, cfg, observe=mass)
+        assert len(traj.fields) == 1
+        assert np.array_equal(traj.fields[-1].half, kept.fields[-1].half)
+        assert traj.observed == [mass(f) for f in kept.fields]
+
     def test_mass_and_energy_conserved(self):
         g = small_grid(64)
         u = smooth_field(g, amplitude=0.5)

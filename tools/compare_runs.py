@@ -8,11 +8,13 @@ compares what each run wrote: `records.*`, `slopes.json`, `plotdata/`,
 `FAILED`, `final_state.fkpi`, the manifest without `timestamp` and
 `config.output_dir`, the exit status, and stderr with checkout paths
 masked.  Every run is a fresh interpreter with only that checkout's `src`
-on its path.  Prints `same` or the differing files per config, naming the
+on its path.  Prints, per config, the peak resident set size of each side's
+run (parent, then this checkout; the sweep workers are threads, so the run's
+own `ru_maxrss` covers them) and `same` or the differing files, naming the
 differing manifest keys as dotted paths (`manifest.json: config.grid`) and
-the differing records columns (`records.csv: band_hi, band_lo`), and exits 1
-if any config differs.  Standard library only; the two checkouts need numpy,
-as the CLI does.
+the differing records columns (`records.csv: band_hi, band_lo`).  Exits 1
+if any config differs; peak memory never enters the verdict.  Standard
+library only; the two checkouts need numpy, as the CLI does.
 """
 
 from __future__ import annotations
@@ -60,18 +62,23 @@ CONFIGS = [
     ("transversality-alpha-3", "transversality", ["alpha=3.0"]),
 ]
 
-# Runs the CLI, after checking that fkpi_lab came from the given src.
-RUNNER = ("import sys, fkpi_lab, fkpi_lab.cli\n"
+# Runs the CLI, after checking that fkpi_lab came from the given src, and
+# prints the process's peak RSS in MB (ru_maxrss is in KiB on Linux) as the
+# last line of stdout; the CLI itself writes nothing there.
+RUNNER = ("import resource, sys, fkpi_lab, fkpi_lab.cli\n"
           "if not fkpi_lab.__file__.startswith(sys.argv[1]):\n"
           "    sys.exit(f'fkpi_lab imported from {fkpi_lab.__file__}')\n"
-          "sys.exit(fkpi_lab.cli.main(sys.argv[2:]))\n")
+          "status = fkpi_lab.cli.main(sys.argv[2:])\n"
+          "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0)\n"
+          "sys.exit(status)\n")
 
 ARTIFACTS = ("records.csv", "records.jsonl", "slopes.json", "FAILED",
              "final_state.fkpi")
 
 
 def run_config(checkout, command, overrides, out_dir):
-    """Run one config against checkout/src; returns (status, stderr)."""
+    """Run one config against checkout/src; returns (status, stderr, peak RSS
+    in MB, or None when the run died before reporting it)."""
     src = str(checkout / "src")
     argv = [command, "--output-dir", str(out_dir), "--set", f"workers={WORKERS}"]
     for item in overrides:
@@ -80,7 +87,12 @@ def run_config(checkout, command, overrides, out_dir):
     proc = subprocess.run([sys.executable, "-c", RUNNER, src + os.sep, *argv],
                           cwd=out_dir.parent, env=env, capture_output=True,
                           text=True, check=False)
-    return proc.returncode, proc.stderr.replace(src, "<src>")
+    lines = proc.stdout.splitlines()
+    try:
+        peak = float(lines[-1])
+    except (IndexError, ValueError):
+        peak = None
+    return proc.returncode, proc.stderr.replace(src, "<src>"), peak
 
 
 def manifest_digests(path):
@@ -142,14 +154,23 @@ def describe(diff):
 
 
 def compare(parent, config, work):
+    """(the differing names, [parent, change] peak RSS) of one config."""
     name, command, overrides = config
-    seen = []
+    seen, peaks = [], []
     for side, checkout in (("parent", parent), ("change", HERE)):
         out_dir = work / side / name
         out_dir.mkdir(parents=True)
-        seen.append(digests(out_dir, *run_config(checkout, command, overrides,
-                                                 out_dir)))
-    return differing(*seen)
+        status, stderr, peak = run_config(checkout, command, overrides, out_dir)
+        seen.append(digests(out_dir, status, stderr))
+        peaks.append(peak)
+    return differing(*seen), peaks
+
+
+def report(name, diff, peaks):
+    """One config's line: its name, each side's peak RSS, then the verdict."""
+    shown = " -> ".join("?" if p is None else f"{p:.1f}" for p in peaks)
+    return (f"{name:<34} peak RSS {shown + ' MB':<20} "
+            f"{'same' if not diff else 'differs: ' + describe(diff)}")
 
 
 def differing(old, new):
@@ -168,10 +189,9 @@ def main(argv=None):
     differing = 0
     with tempfile.TemporaryDirectory(prefix="compare_runs-") as tmp:
         for config in CONFIGS:
-            diff = compare(parent, config, pathlib.Path(tmp))
+            diff, peaks = compare(parent, config, pathlib.Path(tmp))
             differing += bool(diff)
-            print(f"{config[0]:<34} "
-                  f"{'same' if not diff else 'differs: ' + describe(diff)}", flush=True)
+            print(report(config[0], diff, peaks), flush=True)
     total = len(CONFIGS)
     print(f"{total} configs: " + ("same" if not differing
                                   else f"{differing} differ"))
