@@ -20,7 +20,6 @@ from .grid import (
     save_field,
     to_physical,
     to_spectral,
-    x_derivative,
 )
 from .symbols import (
     DispersionParams,
@@ -32,7 +31,6 @@ from .norms import (
     MixedNormSpec,
     energy_alpha,
     mass,
-    sobolev_aniso,
     spacetime_norm,
 )
 from .evolution import (
@@ -90,7 +88,6 @@ __all__ = [
     "scaling_exponent_fit",
     "second_iterate_boxdata",
     "slope_report",
-    "sobolev_aniso",
     "solve",
     "spacetime_norm",
     "step",
@@ -100,6 +97,5 @@ __all__ = [
     "trilinear_integral",
     "write_records_csv",
     "write_records_jsonl",
-    "x_derivative",
     "__version__",
 ]

@@ -356,6 +356,8 @@ def _smooth_data(grid, amplitude, l2_target, seed):
     u0 = to_spectral(samples, grid)
     if l2_target > 0.0:
         norm = math.sqrt(mass(u0))
+        if not math.isfinite(norm):
+            raise ValueError("the data's mass is not finite: it exceeds double precision")
         if norm > 0.0:
             u0 = u0 * (l2_target / norm)
     return u0
@@ -378,6 +380,8 @@ def _evolve(params, config):
     traj = solve(params, u0, ev,
                  observe=lambda f: (mass(f), energy_alpha(params, f)))
     masses, energies = zip(*traj.observed)
+    if not all(map(math.isfinite, masses + energies)):
+        raise ValueError("mass or energy is not finite: it exceeds double precision")
     base = {"alpha": config.alpha, "dt": ev.dt, "T": ev.T, "scheme": ev.scheme,
             "seed": config.seed}
     return traj, base, masses, energies

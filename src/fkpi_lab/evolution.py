@@ -2,9 +2,8 @@
 
     u_t = |D_x|^alpha u_x + dx^{-1} dyy u + u u_x,
 
-Picard iterates against the Duhamel formula, and the continuum quadrature
-for the second iterate launched from the thin-box data that drives the
-quadratic norm-growth mechanism.
+and the continuum quadrature for the second Picard iterate launched from
+the thin-box data that drives the quadratic norm-growth mechanism.
 
 The linear multiplier is the pure phase e^{i t omega(xi, eta)}; every
 scheme here works on the stored half spectrum of Fourier coefficients
@@ -67,11 +66,11 @@ class EvolutionConfig:
 
 @dataclass
 class Trajectory:
-    """The recorded times, and either every recorded field or, when `solve`
-    was given an observer, the final field alone with `observed` holding
-    the observer's result at each recorded time."""
+    """The recorded times, the final field, and, when `solve` was given an
+    observer, `observed`: the observer's result at each recorded time."""
     config: EvolutionConfig
     times: list
+    # [final state]: a list of one, as perfbench/sample.py reads fields[-1]
     fields: list
     observed: list | None = None
 
@@ -210,17 +209,16 @@ def step(params, field, config):
 def solve(params, u0, config, observe=None):
     """March to T = config.T, recording every snapshot_stride-th state.
 
-    The initial state and the final state are always recorded.  Without an
-    observer every recorded field is kept.  With one, `observe(u)` runs on
-    each recorded state as the march reaches it, its results go to
-    `observed`, and `fields` holds the final state only, so no snapshot
-    outlives its step.  Raises BlowupError (with the offending step index)
-    on nonfinite output.
+    The initial state and the final state are always recorded.  With an
+    observer, `observe(u)` runs on each recorded state as the march reaches
+    it and its results go to `observed`; `observe=lambda f: f` collects the
+    snapshots themselves.  `fields` holds the final state only, so no
+    snapshot outlives its step unless the observer keeps it.  Raises
+    BlowupError (with the offending step index) on nonfinite output.
     """
     require_zero_x_mean(u0, "solve")
     n = config.n_steps()
     times = [0.0]
-    fields = [u0]
     observed = None if observe is None else [observe(u0)]
     u = u0
     for i in range(1, n + 1):
@@ -229,70 +227,9 @@ def solve(params, u0, config, observe=None):
             raise BlowupError(i, i * config.dt)
         if i % config.snapshot_stride == 0 or i == n:
             times.append(i * config.dt)
-            if observe is None:
-                fields.append(u)
-            else:
+            if observe is not None:
                 observed.append(observe(u))
-    if observe is not None:
-        fields = [u]
-    return Trajectory(config=config, times=times, fields=fields, observed=observed)
-
-
-# ------------------------------------------------------------------- Picard
-
-
-def _prefix_weights(n, dt):
-    """Lower-triangular quadrature weights W[i, :] integrating over [0, i*dt].
-
-    Even prefixes use composite Simpson; odd ones splice a 3/8 panel onto
-    the final three intervals (plain trapezoid for the lone i = 1 case).
-    """
-    w = np.zeros((n + 1, n + 1))
-    for i in range(1, n + 1):
-        if i == 1:
-            w[1, 0] = w[1, 1] = dt / 2.0
-        elif i % 2 == 0:
-            w[i, 0] = w[i, i] = dt / 3.0
-            w[i, 1:i:2] += 4.0 * dt / 3.0
-            w[i, 2:i:2] += 2.0 * dt / 3.0
-        else:
-            w[i, : i - 2] = w[i - 3, : i - 2]
-            w[i, i - 3 : i + 1] += np.array([1.0, 3.0, 3.0, 1.0]) * 3.0 * dt / 8.0
-    return w
-
-
-def picard_iterate(params, u0, k, T, dt):
-    """k-th Picard iterate at time T on the Duhamel ladder.
-
-    u^0(t) = U(t) u0;  u^{j+1}(t) = U(t) u0 + int_0^t U(t-s) N(u^j(s)) ds,
-    integrals by composite Simpson at spacing dt (3/8 splice on odd
-    prefixes).  Works in the interaction picture so the stiff phase never
-    enters the quadrature.
-    """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    require_zero_x_mean(u0, "picard_iterate")
-    n = max(1, round(T / dt))
-    if abs(n * dt - T) > 1e-9 * max(1.0, T):
-        raise ValueError(f"dt={dt} does not divide T={T}")
-    if k == 0 or T == 0.0:
-        return propagate_linear(params, u0, T)
-    grid = u0.grid
-    om = _omega_grid(grid, params.alpha)
-    w = _prefix_weights(n, dt)
-    # v^j holds interaction-picture half spectra at every node
-    v = np.repeat(u0.half[None], n + 1, axis=0)
-    for _ in range(k):
-        # the integrand at node i overwrites v[i] once read, and each node's
-        # phase is made when needed: the only stacks of n + 1 nodes are v
-        # and the quadrature's result
-        for i in range(n + 1):
-            phase = np.exp(1j * (i * dt) * om)
-            ui = trusted_field(grid, v[i] * phase)
-            v[i] = np.conj(phase) * nonlinearity(params, ui).half
-        v = np.tensordot(w, v, axes=(1, 0))
-        v += u0.half
-    return trusted_field(grid, v[n] * np.exp(1j * (n * dt) * om))
+    return Trajectory(config=config, times=times, fields=[u], observed=observed)
 
 
 # ------------------------------------------- second iterate from box data

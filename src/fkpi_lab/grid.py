@@ -55,8 +55,8 @@ class FrequencyGrid:
     modes_y: int
 
     def __post_init__(self):
-        if not (self.length_x > 0.0 and self.length_y > 0.0):
-            raise ValueError("box lengths must be positive")
+        if not (0.0 < self.length_x < math.inf and 0.0 < self.length_y < math.inf):
+            raise ValueError("box lengths must be positive and finite")
         for name in ("modes_x", "modes_y"):
             m = getattr(self, name)
             if m < 8 or m % 2 != 0:
@@ -269,14 +269,12 @@ def to_spectral(samples, grid):
         raise ValueError(f"sample array shape {samples.shape} does not match grid {shape}")
     if np.iscomplexobj(samples):
         raise ValueError("samples must be real: fields are real")
+    if not np.all(np.isfinite(samples)):
+        raise ValueError("samples must be finite")
     half = np.fft.rfft2(samples) * grid.cell_area
     half[grid.modes_x // 2, :] = 0.0
     half[:, -1] = 0.0
     return trusted_field(grid, _fold_eta0(half))
-
-
-def x_derivative(field):
-    return trusted_field(field.grid, field.half * (1j * field.grid.xi_half))
 
 
 def fractional_x_derivative(field, s):

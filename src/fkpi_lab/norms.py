@@ -53,14 +53,10 @@ def _vol(grid):
     return grid.length_x * grid.length_y
 
 
-def _power(field):
-    """|coeffs|^2 on the half, weighted so that its sum is the full sum."""
-    return np.abs(field.half) ** 2 * field.grid.half_weight
-
-
 def mass(field):
     """L^2 mass integral |u|^2 by Parseval."""
-    return float(np.sum(_power(field)) / _vol(field.grid))
+    power = np.abs(field.half) ** 2 * field.grid.half_weight
+    return float(np.sum(power) / _vol(field.grid))
 
 
 def _check_eta_column(field, what):
@@ -83,11 +79,6 @@ def _quadratic_weight(grid, alpha):
     return w
 
 
-def _quadratic_terms(params, field):
-    weight = _quadratic_weight(field.grid, params.alpha)
-    return float(np.sum(weight * np.abs(field.half) ** 2))
-
-
 def energy_alpha(params, field):
     """Hamiltonian: 1/2 |D_x^{a/2} u|^2 + 1/2 |dx^{-1} dy u|^2 + 1/6 int u^3.
 
@@ -99,21 +90,8 @@ def energy_alpha(params, field):
     grid = field.grid
     u_deal = to_physical(trusted_field(grid, field.half * grid.dealias_mask))
     cubic = float(np.sum(u_deal * u_deal * u_deal) * grid.cell_area) / 6.0
-    return _quadratic_terms(params, field) + cubic
-
-
-def quadratic_energy(params, field):
-    """The two quadratic pieces of energy_alpha (no cubic term)."""
-    _check_eta_column(field, "quadratic_energy")
-    return _quadratic_terms(params, field)
-
-
-def sobolev_aniso(field, idx):
-    """Anisotropic Sobolev norm with weight (1+xi^2)^{s1/2} (1+eta^2)^{s2/2}."""
-    grid = field.grid
-    xi, eta = grid.xi_half, grid.eta_half
-    w2 = (1.0 + xi * xi) ** idx.s1 * (1.0 + eta * eta) ** idx.s2
-    return math.sqrt(float(np.sum(w2 * _power(field))) / _vol(grid))
+    weight = _quadratic_weight(grid, params.alpha)
+    return float(np.sum(weight * np.abs(field.half) ** 2)) + cubic
 
 
 def _lr_norm(field, r):

@@ -4,10 +4,10 @@ geometry for the fractional KP-I symbol
     omega(xi, eta) = |xi|^alpha xi + eta^2/xi,    xi != 0.
 
 Everything here is closed-form; the module exists so the formulas live in
-one place and so the two independent routes to each quantity (a direct
-formula and an algebraically rearranged one) can be cross-checked against
-each other.  The *_arrays functions take plain ndarrays or floats and
-vectorize over samples.
+one place.  A second, independent route to each quantity (a direct formula
+against an algebraically rearranged one) lives in tests/oracles.py, where
+the two are cross-checked.  The *_arrays functions take plain ndarrays or
+floats and vectorize over samples.
 """
 
 from __future__ import annotations
@@ -72,32 +72,6 @@ def omega2_arrays(alpha, xi1, eta1, xi2, eta2):
 def resonance_arrays(alpha, xi1, eta1, xi2, eta2):
     """Omega = Omega1 - Omega2 in the partial-fractions form."""
     return omega1_arrays(alpha, xi1, xi2) - omega2_arrays(alpha, xi1, eta1, xi2, eta2)
-
-
-def resonance_difference_arrays(alpha, xi1, eta1, xi2, eta2):
-    return (
-        omega_arrays(alpha, xi1 + xi2, eta1 + eta2)
-        - omega_arrays(alpha, xi1, eta1)
-        - omega_arrays(alpha, xi2, eta2)
-    )
-
-
-def normal_determinant_closed_arrays(alpha, xi1, eta1, xi2, eta2):
-    cross = eta1 * xi2 - eta2 * xi1
-    d = xi1 * xi2 * (xi1 + xi2)
-    inner = (alpha + 1.0) * (-omega1_arrays(alpha, xi1, xi2)) - cross * cross / d
-    return -2.0 * cross / d * inner
-
-
-def normal_determinant_numeric_arrays(alpha, xi1, eta1, xi2, eta2):
-    """Cofactor expansion of det[n(p1) n(p2) n(p1+p2)] with n = (1, -grad)."""
-    g1x, g1y = grad_omega_arrays(alpha, xi1, eta1)
-    g2x, g2y = grad_omega_arrays(alpha, xi2, eta2)
-    g3x, g3y = grad_omega_arrays(alpha, xi1 + xi2, eta1 + eta2)
-    a, b, c = -g1x, -g2x, -g3x
-    d, e, f = -g1y, -g2y, -g3y
-    # | 1 1 1 ; a b c ; d e f |
-    return (b * f - c * e) - (a * f - c * d) + (a * e - b * d)
 
 
 # ------------------------------------------------------------------ the scan

@@ -388,6 +388,27 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not (out / "records.csv").exists()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["simulate", "conserve"])
+    @pytest.mark.parametrize("settings, message", [
+        # finite samples whose mass and energy overflow
+        (["data.amplitude=1e200"], "mass or energy is not finite"),
+        (["data.amplitude=1e200", "data.l2_norm=1"], "the data's mass is not finite"),
+        (["data.amplitude=1e308"], "samples must be finite"),
+        (["grid.length_y=Infinity"], "box lengths must be positive and finite"),
+    ])
+    def test_nonfinite_data_exits_1_without_records(self, tmp_path, capsys, command,
+                                                    settings, message):
+        # at T = 0 no step runs, so no BlowupError can catch the overflow
+        out = tmp_path / "out"
+        args = [command, "--output-dir", str(out), "--set", "evolution.T=0",
+                "--set", "grid.modes_x=16", "--set", "grid.modes_y=16"]
+        for item in settings:
+            args += ["--set", item]
+        assert run_cli(*args) == 1
+        assert "error: " + message in capsys.readouterr().err
+        assert not (out / "records.csv").exists()
+
     @pytest.mark.parametrize("kind", ["linear", "lowfreq"])
     def test_strichartz_trials_exit_1_without_records(self, tmp_path, capsys, kind):
         # the Strichartz points are deterministic: a trial count would be ignored

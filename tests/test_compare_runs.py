@@ -1,4 +1,5 @@
-"""tools/compare_runs.py names the differing columns of a records file."""
+"""tools/compare_runs.py names the differing columns of a records file and
+reports each side's peak memory and package size."""
 
 import importlib.util
 import json
@@ -63,6 +64,21 @@ def test_report_shows_both_peaks_before_the_verdict():
     line = compare_runs.report("simulate", ["final_state.fkpi"], [None, 50.0])
     assert "peak RSS ? -> 50.0 MB" in line
     assert line.endswith(" differs: final_state.fkpi")
+
+
+def test_size_report_counts_package_lines(tmp_path):
+    for side, texts in (("old", ["a\nb\n", "c\n"]), ("new", ["a\n"])):
+        package = tmp_path / side / "src" / "fkpi_lab"
+        package.mkdir(parents=True)
+        for i, text in enumerate(texts):
+            (package / f"m{i}.py").write_text(text)
+        (package / "notes.txt").write_text("not\ncounted\n")
+    assert (compare_runs.size_report(tmp_path / "old", tmp_path / "new")
+            == "src/fkpi_lab: 3 -> 1 lines")
+    here = compare_runs.HERE / "src" / "fkpi_lab"
+    lines = sum(len(p.read_text().splitlines()) for p in here.glob("*.py"))
+    assert (compare_runs.size_report(compare_runs.HERE)
+            == f"src/fkpi_lab: {lines} -> {lines} lines")
 
 
 def test_run_reports_its_peak_rss(tmp_path):

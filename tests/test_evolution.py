@@ -3,15 +3,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from oracles import picard_iterate, prefix_weights, sobolev_aniso, x_derivative
 
 from fkpi_lab import evolution as ev
-from fkpi_lab.grid import (
-    FrequencyGrid,
-    dealiased_product,
-    to_spectral,
-    x_derivative,
-)
-from fkpi_lab.norms import AnisoIndex, energy_alpha, mass, sobolev_aniso
+from fkpi_lab.grid import FrequencyGrid, dealiased_product, to_spectral
+from fkpi_lab.norms import AnisoIndex, energy_alpha, mass
 from fkpi_lab.symbols import DispersionParams, interaction_boxes
 
 ALPHA = 2.5
@@ -30,6 +26,18 @@ def smooth_field(grid, amplitude=0.05):
 def final_state(params, u0, dt, T, scheme="etdrk4"):
     cfg = ev.EvolutionConfig(dt=dt, T=T, scheme=scheme, snapshot_stride=10 ** 9)
     return ev.solve(params, u0, cfg).fields[-1]
+
+
+def march(params, u0, cfg, indices):
+    """The states after each of the given numbers of steps, by a hand-written
+    loop over the public one-step map."""
+    states, u = [], u0
+    for i in range(max(indices) + 1):
+        if i:
+            u = ev.step(params, u, cfg)
+        if i in indices:
+            states.append(u)
+    return states
 
 
 class TestConfig:
@@ -249,14 +257,20 @@ class TestSolveBookkeeping:
         cfg = ev.EvolutionConfig(dt=0.1, T=1.0, snapshot_stride=3)
         traj = ev.solve(p, u, cfg)
         assert np.allclose(traj.times, [0.0, 0.3, 0.6, 0.9, 1.0])
-        assert len(traj.fields) == 5
+        assert traj.observed is None
+        [final] = traj.fields
+        [want] = march(p, u, cfg, [10])
+        assert np.array_equal(final.half, want.half)
 
     @pytest.mark.parametrize("scheme", ev.SCHEMES)
     def test_snapshots_hold_only_half_spectra(self, scheme):
         g = FrequencyGrid(2 * np.pi, 2 * np.pi, 16, 12)
         u = smooth_field(g)
         cfg = ev.EvolutionConfig(dt=0.1, T=0.5, scheme=scheme)
-        for f in ev.solve(DispersionParams(ALPHA), u, cfg).fields:
+        traj = ev.solve(DispersionParams(ALPHA), u, cfg, observe=lambda f: f)
+        assert len(traj.observed) == 6
+        assert traj.fields == [traj.observed[-1]]
+        for f in traj.observed:
             arrays = [v for v in vars(f).values() if isinstance(v, np.ndarray)]
             assert [a.shape for a in arrays] == [(16, 12 // 2 + 1)]
             # the one symmetry the half still carries: its eta = 0 column
@@ -268,6 +282,7 @@ class TestSolveBookkeeping:
         u = smooth_field(g)
         traj = ev.solve(DispersionParams(ALPHA), u, ev.EvolutionConfig(dt=0.1, T=0.0))
         assert traj.times == [0.0]
+        assert traj.fields == [u]
         assert traj.fields[0] is u
 
     @pytest.mark.parametrize("scheme", ev.SCHEMES)
@@ -277,20 +292,20 @@ class TestSolveBookkeeping:
         p = DispersionParams(ALPHA)
         # 10 steps at stride 3: the final step is off the stride
         cfg = ev.EvolutionConfig(dt=0.1, T=1.0, scheme=scheme, snapshot_stride=3)
-        kept = ev.solve(p, u, cfg)
         seen = []
 
         def observe(f):
             seen.append(f)
             return len(seen)
         traj = ev.solve(p, u, cfg, observe=observe)
-        assert traj.times == kept.times
+        assert traj.times == ev.solve(p, u, cfg).times
         assert traj.observed == [1, 2, 3, 4, 5]
-        assert len(seen) == len(kept.fields) == 5
         assert seen[0] is u
-        for got, want in zip(seen, kept.fields):
-            assert np.array_equal(got.half, want.half)
-        assert kept.observed is None
+        want = march(p, u, cfg, [0, 3, 6, 9, 10])
+        assert len(seen) == len(want) == 5
+        for got, w in zip(seen, want):
+            assert np.array_equal(got.half, w.half)
+        assert traj.fields == [seen[-1]]
 
     def test_observer_at_zero_horizon(self):
         g = small_grid(16)
@@ -309,11 +324,33 @@ class TestSolveBookkeeping:
         u = smooth_field(g, amplitude=0.5)
         p = DispersionParams(ALPHA)
         cfg = ev.EvolutionConfig(dt=0.05, T=1.0, scheme=scheme, snapshot_stride=1)
-        kept = ev.solve(p, u, cfg)
-        traj = ev.solve(p, u, cfg, observe=mass)
-        assert len(traj.fields) == 1
-        assert np.array_equal(traj.fields[-1].half, kept.fields[-1].half)
-        assert traj.observed == [mass(f) for f in kept.fields]
+        want = march(p, u, cfg, range(21))
+        for observe in (None, mass):
+            traj = ev.solve(p, u, cfg, observe=observe)
+            assert len(traj.fields) == 1
+            assert np.array_equal(traj.fields[-1].half, want[-1].half)
+        assert traj.observed == [mass(f) for f in want]
+
+    @pytest.mark.parametrize("scheme", ev.SCHEMES)
+    def test_peak_memory_does_not_grow_with_steps(self, scheme):
+        # every step is recorded, and without an observer none is kept, so
+        # 180 more steps must cost less than two half spectra
+        g = small_grid(64)
+        u = smooth_field(g, amplitude=0.5)
+        p = DispersionParams(ALPHA)
+
+        def peak(steps):
+            cfg = ev.EvolutionConfig(dt=1e-3, T=steps * 1e-3, scheme=scheme,
+                                     snapshot_stride=1)
+            tracemalloc.start()
+            try:
+                ev.solve(p, u, cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        peak(20)  # warm the phase tables
+        half_bytes = g.half_shape[0] * g.half_shape[1] * 16
+        assert peak(200) - peak(20) < 2 * half_bytes
 
     def test_mass_and_energy_conserved(self):
         g = small_grid(64)
@@ -329,7 +366,7 @@ class TestPicard:
     def test_prefix_weights_integrate_cubics_exactly(self):
         # Simpson and 3/8 panels are both exact on cubics
         n, dt = 9, 0.13
-        w = ev._prefix_weights(n, dt)
+        w = prefix_weights(n, dt)
         t = np.arange(n + 1) * dt
         for i in range(2, n + 1):
             got = float(w[i] @ t ** 3)
@@ -340,7 +377,7 @@ class TestPicard:
         g = small_grid(32)
         u = smooth_field(g)
         p = DispersionParams(ALPHA)
-        got = ev.picard_iterate(p, u, 0, 0.4, 0.01)
+        got = picard_iterate(p, u, 0, 0.4, 0.01)
         want = ev.propagate_linear(p, u, 0.4)
         assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-12 * np.max(np.abs(want.coeffs))
 
@@ -353,7 +390,7 @@ class TestPicard:
         for amp in (0.8, 0.4):
             u = smooth_field(g, amplitude=amp)
             ref = final_state(p, u, 0.00125, T).coeffs
-            it2 = ev.picard_iterate(p, u, 2, T, dt).coeffs
+            it2 = picard_iterate(p, u, 2, T, dt).coeffs
             errs.append(np.linalg.norm(it2 - ref))
         assert errs[1] <= errs[0] / 8.0, f"halving gave {errs[0] / errs[1]:.1f}x"
         assert errs[1] < 1e-3
@@ -365,7 +402,7 @@ class TestPicard:
         ref = final_state(p, u, 0.001, 0.2).coeffs
         gaps = []
         for k in (1, 2, 3):
-            it = ev.picard_iterate(p, u, k, 0.2, 0.005).coeffs
+            it = picard_iterate(p, u, k, 0.2, 0.005).coeffs
             gaps.append(np.linalg.norm(it - ref) / np.linalg.norm(ref))
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[2] < 1e-6
@@ -377,10 +414,10 @@ class TestPicard:
         u = smooth_field(g)
         p = DispersionParams(ALPHA)
         n = 200
-        ev.picard_iterate(p, u, 1, 0.01, 0.01)  # warm the multiplier caches
+        picard_iterate(p, u, 1, 0.01, 0.01)  # warm the multiplier caches
         tracemalloc.start()
         try:
-            ev.picard_iterate(p, u, 2, n * 0.001, 0.001)
+            picard_iterate(p, u, 2, n * 0.001, 0.001)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -391,9 +428,9 @@ class TestPicard:
         u = smooth_field(g)
         p = DispersionParams(ALPHA)
         with pytest.raises(ValueError):
-            ev.picard_iterate(p, u, -1, 0.1, 0.01)
+            picard_iterate(p, u, -1, 0.1, 0.01)
         with pytest.raises(ValueError):
-            ev.picard_iterate(p, u, 2, 0.1, 0.03)
+            picard_iterate(p, u, 2, 0.1, 0.03)
 
 
 class TestPhiWindow:

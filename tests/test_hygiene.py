@@ -49,6 +49,35 @@ def test_no_private_cross_module_imports(path):
     assert private_imports(path.read_text()) == []
 
 
+def oracle_imports(source):
+    """Lines of a module that import the test oracles, under any name."""
+    tree = ast.parse(source)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [alias.name for alias in node.names]
+        else:
+            continue
+        if any("oracles" in name.split(".") for name in names):
+            found.append(node.lineno)
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_package_never_imports_the_test_oracles(path):
+    assert oracle_imports(path.read_text()) == []
+
+
+def test_detector_flags_oracle_imports():
+    source = ("import oracles\nimport numpy as np\n"
+              "from tests import oracles as o\nfrom oracles import picard_iterate\n"
+              "def f():\n    import tests.oracles\n"
+              "from .symbols import omega_arrays\n")
+    assert oracle_imports(source) == [1, 3, 4, 6]
+
+
 def test_detector_flags_private_names():
     source = ("from __future__ import annotations\n"
               "from . import __version__\n"
@@ -67,14 +96,7 @@ def test_detector_flags_unused_names():
 # Public names that no package code calls, each kept for a stated reason.
 UNCALLED_PUBLIC = {
     "parse_config": "library entry point: parses a JSON config without the CLI",
-    "picard_iterate": "the solver's independent oracle (Duhamel ladder)",
-    "quadratic_energy": "isolates energy_alpha's cubic term against closed forms",
-    "normal_determinant_closed_arrays": "closed-form route of the determinant cross-check",
-    "normal_determinant_numeric_arrays": "cofactor route of the determinant cross-check",
-    "resonance_difference_arrays": "difference route of the resonance cross-check",
-    "sobolev_aniso": "measures propagate_linear's isometry in three Tier-1 tests",
     "load_field": "the reader half of the FKPI1 file format that save_field writes",
-    "x_derivative": "public d/dx; nonlinearity folds it into one cached multiplier",
 }
 
 

@@ -5,11 +5,12 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import resonance_difference_arrays
 
 from fkpi_lab import probes as pr
 from fkpi_lab.grid import FrequencyGrid, SpectralField, to_spectral
 from fkpi_lab.norms import AnisoIndex, MixedNormSpec
-from fkpi_lab.symbols import DispersionParams, resonance_difference_arrays
+from fkpi_lab.symbols import DispersionParams
 
 P3 = DispersionParams(3.0)
 TWO_PI = 2.0 * math.pi

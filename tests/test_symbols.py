@@ -2,6 +2,11 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import (
+    normal_determinant_closed_arrays,
+    normal_determinant_numeric_arrays,
+    resonance_difference_arrays,
+)
 
 from fkpi_lab import symbols as S
 
@@ -88,7 +93,7 @@ class TestResonance:
         alpha = 2.3
         xi1, eta1, xi2, eta2 = random_pairs(20000, seed=7)
         frac = S.resonance_arrays(alpha, xi1, eta1, xi2, eta2)
-        diff = S.resonance_difference_arrays(alpha, xi1, eta1, xi2, eta2)
+        diff = resonance_difference_arrays(alpha, xi1, eta1, xi2, eta2)
         scale = np.maximum(
             1.0,
             np.abs(S.omega1_arrays(alpha, xi1, xi2))
@@ -118,8 +123,8 @@ class TestResonance:
             w = fn(alpha, xi2, eta2, xi1, eta1)
             assert np.max(np.abs(v - w) / np.maximum(1.0, np.abs(v))) < 1e-12
         # the normals determinant changes sign under a column swap; its size is symmetric
-        b12 = S.normal_determinant_closed_arrays(alpha, xi1, eta1, xi2, eta2)
-        b21 = S.normal_determinant_closed_arrays(alpha, xi2, eta2, xi1, eta1)
+        b12 = normal_determinant_closed_arrays(alpha, xi1, eta1, xi2, eta2)
+        b21 = normal_determinant_closed_arrays(alpha, xi2, eta2, xi1, eta1)
         assert np.max(np.abs(np.abs(b12) - np.abs(b21)) / np.maximum(1.0, np.abs(b12))) < 1e-12
 
     def test_galilean_shift(self):
@@ -137,19 +142,19 @@ class TestResonance:
 class TestDeterminant:
     def test_hand_value(self):
         q = (1.0, 1.0, 1.0, -1.0)
-        assert abs(float(S.normal_determinant_numeric_arrays(2.0, *q)) - 40.0) < 1e-12
-        assert abs(float(S.normal_determinant_closed_arrays(2.0, *q)) - 40.0) < 1e-12
+        assert abs(float(normal_determinant_numeric_arrays(2.0, *q)) - 40.0) < 1e-12
+        assert abs(float(normal_determinant_closed_arrays(2.0, *q)) - 40.0) < 1e-12
 
     def test_collinear_vanishes(self):
         q = (1.0, 2.0, 3.0, 6.0)
-        assert float(S.normal_determinant_closed_arrays(2.8, *q)) == 0.0
-        assert abs(float(S.normal_determinant_numeric_arrays(2.8, *q))) < 1e-9
+        assert float(normal_determinant_closed_arrays(2.8, *q)) == 0.0
+        assert abs(float(normal_determinant_numeric_arrays(2.8, *q))) < 1e-9
 
     def test_mutual_oracle(self):
         alpha = 3.3
         xi1, eta1, xi2, eta2 = random_pairs(20000, seed=11)
-        num = S.normal_determinant_numeric_arrays(alpha, xi1, eta1, xi2, eta2)
-        clo = S.normal_determinant_closed_arrays(alpha, xi1, eta1, xi2, eta2)
+        num = normal_determinant_numeric_arrays(alpha, xi1, eta1, xi2, eta2)
+        clo = normal_determinant_closed_arrays(alpha, xi1, eta1, xi2, eta2)
         cross = eta1 * xi2 - eta2 * xi1
         d = xi1 * xi2 * (xi1 + xi2)
         inner_size = (alpha + 1) * np.abs(S.omega1_arrays(alpha, xi1, xi2)) + cross ** 2 / np.abs(d)
@@ -265,7 +270,7 @@ def test_resonance_identity_property(alpha, xi1, eta1, xi2, eta2):
     if abs(xi1) < 0.05 or abs(xi2) < 0.05 or abs(xi1 + xi2) < 0.05:
         return
     frac = float(S.resonance_arrays(alpha, xi1, eta1, xi2, eta2))
-    diff = float(S.resonance_difference_arrays(alpha, xi1, eta1, xi2, eta2))
+    diff = float(resonance_difference_arrays(alpha, xi1, eta1, xi2, eta2))
     scale = max(
         1.0,
         abs(float(S.omega1_arrays(alpha, xi1, xi2)))

@@ -12,9 +12,11 @@ on its path.  Prints, per config, the peak resident set size of each side's
 run (parent, then this checkout; the sweep workers are threads, so the run's
 own `ru_maxrss` covers them) and `same` or the differing files, naming the
 differing manifest keys as dotted paths (`manifest.json: config.grid`) and
-the differing records columns (`records.csv: band_hi, band_lo`).  Exits 1
-if any config differs; peak memory never enters the verdict.  Standard
-library only; the two checkouts need numpy, as the CLI does.
+the differing records columns (`records.csv: band_hi, band_lo`).  The
+summary gives each side's package size (`src/fkpi_lab: 2854 -> 2740 lines`,
+counted as `wc -l src/fkpi_lab/*.py` counts) before the verdict.  Exits 1
+if any config differs; neither peak memory nor size enters the verdict.
+Standard library only; the two checkouts need numpy, as the CLI does.
 """
 
 from __future__ import annotations
@@ -173,6 +175,14 @@ def report(name, diff, peaks):
             f"{'same' if not diff else 'differs: ' + describe(diff)}")
 
 
+def size_report(parent, change=HERE):
+    """The summary line of the package's line count, parent -> change."""
+    counts = [sum(p.read_bytes().count(b"\n")
+                  for p in (checkout / "src" / "fkpi_lab").glob("*.py"))
+              for checkout in (parent, change)]
+    return f"src/fkpi_lab: {counts[0]} -> {counts[1]} lines"
+
+
 def differing(old, new):
     """The sorted names whose digests differ between two digest maps."""
     return sorted(k for k in set(old) | set(new) if old.get(k) != new.get(k))
@@ -192,6 +202,7 @@ def main(argv=None):
             diff, peaks = compare(parent, config, pathlib.Path(tmp))
             differing += bool(diff)
             print(report(config[0], diff, peaks), flush=True)
+    print(size_report(parent))
     total = len(CONFIGS)
     print(f"{total} configs: " + ("same" if not differing
                                   else f"{differing} differ"))
