@@ -112,8 +112,8 @@ SCHEMA = {
     "strichartz": {
         "kind": _Key("linear", "str", "which space-time ratio to sweep",
                      ("linear", "lowfreq")),
-        "q": _Key(4.0, "float", "time exponent of the mixed norm"),
-        "r": _Key(4.0, "float", "space exponent of the mixed norm"),
+        "q": _Key(4.0, "float", "time exponent of the mixed norm; read by linear"),
+        "r": _Key(4.0, "float", "space exponent of the mixed norm; read by linear"),
         "T": _Key(1.0, "float", "time window at the first band"),
         "snapshots": _Key(128, "int", "trajectory snapshots per window"),
         "eta_sigma": _Key(2.0, "float", "transverse width of the data bump"),
@@ -132,16 +132,16 @@ SCHEMA = {
     "trilinear": {
         "regime": _Key("lw_band", "str", "which trilinear sweep to run",
                        ("lw_band", "lw_modulation", "nonresonant")),
-        "n1": _Key(8.0, "float", "high band (fixed for modulation sweeps)"),
+        "n1": _Key(8.0, "float", "high band; read by lw_modulation, nonresonant"),
         "n2": _Key(2.0, "float", "second band"),
-        "l": _Key(1.0, "float", "modulation width for band sweeps"),
-        "l3": _Key(0.0, "float", "output modulation; 0 = regime default"),
+        "l": _Key(1.0, "float", "modulation width of the band sweep; read by lw_band"),
+        "l3": _Key(0.0, "float", "output modulation, 0 = 4 n1 n2^alpha; read by nonresonant"),
         "nodes_tau": _Key(16, "int", "base tau nodes per patch"),
         "nodes_xi": _Key(12, "int", "xi nodes per patch"),
         "nodes_eta": _Key(12, "int", "eta nodes per patch"),
         "comparator_shift": _Key(0.0, "float",
-                                 "multiply the comparator by (sweep var)^shift "
-                                 "(modulation regimes only)"),
+                                 "multiply the comparator by (sweep var)^shift; "
+                                 "read by lw_modulation, nonresonant"),
     },
     "scaling": {
         "s1": _Key(0.0, "float", "x-weight of the fitted norm"),
@@ -302,6 +302,9 @@ def _build_config(raw, command):
                          f" it reads {', '.join(reads)}")
     sections = {name: _fill_section(name, cfg.get(name), row)
                 for name, row in reads.items()}
+    for k2 in UNREAD_KEYS.get((cmd, regime), ()):
+        if sections[cmd][k2] != SCHEMA[cmd][k2].default:
+            raise ValueError(f"the {regime} regime does not read {cmd}.{k2}")
     # schema keys of these sections are the constructors' field names
     grid = FrequencyGrid(**sections["grid"]) if "grid" in reads else None
     evolution = EvolutionConfig(**sections["evolution"]) if "evolution" in reads else None
@@ -353,14 +356,18 @@ def _smooth_data(grid, amplitude, l2_target, seed):
         for i in (1, 2)
         for j in (-1, 0, 1)
     )
-    u0 = to_spectral(samples, grid)
-    if l2_target > 0.0:
-        norm = math.sqrt(mass(u0))
-        if not math.isfinite(norm):
-            raise ValueError("the data's mass is not finite: it exceeds double precision")
-        if norm > 0.0:
-            u0 = u0 * (l2_target / norm)
-    return u0
+    return _rescaled(to_spectral(samples, grid), l2_target)
+
+
+def _rescaled(u0, l2_target):
+    if l2_target <= 0.0:
+        return u0
+    norm = math.sqrt(mass(u0))
+    if not math.isfinite(norm):
+        raise ValueError("the data's mass is not finite: it exceeds double precision")
+    if norm == 0.0:
+        raise ValueError("data.l2_norm > 0 needs nonzero data: the data's mass is zero")
+    return u0 * (l2_target / norm)
 
 
 def _rel_drift(value, reference):
@@ -372,7 +379,8 @@ def _rel_drift(value, reference):
 def _evolve(params, config):
     grid, ev, data = config.grid, config.evolution, config.sections["data"]
     if data["kind"] == "zero":
-        u0 = to_spectral(np.zeros((grid.modes_x, grid.modes_y)), grid)
+        u0 = _rescaled(to_spectral(np.zeros((grid.modes_x, grid.modes_y)), grid),
+                       data["l2_norm"])
     else:
         u0 = _smooth_data(grid, data["amplitude"], data["l2_norm"], config.seed)
     # mass and energy of each snapshot as the march reaches it; only the
@@ -420,16 +428,6 @@ def _pool(config):
 
 def _nodes(sec):
     return (sec["nodes_tau"], sec["nodes_xi"], sec["nodes_eta"])
-
-
-def _lw_band(params, config, sec):
-    if sec["comparator_shift"] != 0.0:
-        raise ValueError(
-            "trilinear.comparator_shift applies to the modulation sweeps "
-            "only, not to the lw_band regime")
-    return _curve(lw_band_sweep(params, sec["n2"], config.probe, l=sec["l"],
-                                workers=_pool(config), nodes=_nodes(sec)),
-                  "lw_n1", config.probe.dyadic_range)
 
 
 def _scaling(params, config, sec):
@@ -498,7 +496,9 @@ SETUPS = {
             "bilinear_n1", c.probe.dyadic_range)),
     ("trilinear", "lw_band"): (
         {"probe": {"dyadic_range": (8.0, 16.0, 32.0, 64.0), "tolerance_hi": 0.2}},
-        _lw_band),
+        lambda params, c, sec: _curve(lw_band_sweep(
+            params, sec["n2"], c.probe, l=sec["l"], workers=_pool(c),
+            nodes=_nodes(sec)), "lw_n1", c.probe.dyadic_range)),
     ("trilinear", "lw_modulation"): (
         {"probe": {"dyadic_range": (1.0, 2.0, 4.0, 8.0), "tolerance_hi": 0.2}},
         lambda params, c, sec: _curve(lw_modulation_sweep(
@@ -528,6 +528,13 @@ SETUPS = {
 
 # section key that picks the regime of a multi-regime command
 REGIME_KEYS = {"strichartz": "kind", "trilinear": "regime"}
+# keys of its command's section that a regime never reads: SCHEMA's value only
+UNREAD_KEYS = {
+    ("strichartz", "lowfreq"): ("q", "r"),
+    ("trilinear", "lw_band"): ("n1", "l3", "comparator_shift"),
+    ("trilinear", "lw_modulation"): ("l", "l3"),
+    ("trilinear", "nonresonant"): ("l",),
+}
 
 
 def _reads(command, regime):

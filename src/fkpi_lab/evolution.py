@@ -40,8 +40,8 @@ class BlowupError(RuntimeError):
 class EvolutionConfig:
     dt: float
     T: float
-    scheme: str = "etdrk4"
-    snapshot_stride: int = 1
+    scheme: str
+    snapshot_stride: int
 
     def __post_init__(self):
         if self.dt <= 0.0:
@@ -340,7 +340,7 @@ def _u2_norm_once(alpha, N, gamma, s1, s2, t, q_inner, q_outer):
     return math.sqrt(2.0 * total)  # mirrored output piece
 
 
-def second_iterate_boxdata(params, N, gamma, sbar, t, quad_res=12):
+def second_iterate_boxdata(params, N, gamma, sbar, t, quad_res):
     """Norm of the second Picard iterate from the box data, by quadrature.
 
     Verifies convergence by doubling quad_res; relative change above 1%

@@ -166,6 +166,8 @@ class SpectralField:
         shape = (self.grid.modes_x, self.grid.modes_y)
         if c.shape != shape:
             raise ValueError(f"coefficient shape {c.shape} does not match grid {shape}")
+        if not np.all(np.isfinite(c)):
+            raise ValueError("coefficients must be finite")
         c[self.grid.modes_x // 2, :] = 0.0
         c[:, self.grid.modes_y // 2] = 0.0
         scale = max(1.0, float(np.max(np.abs(c))))
@@ -229,7 +231,7 @@ def plane_residual(field, index):
     return res if res > ZERO_X_MEAN_RTOL * scale else 0.0
 
 
-def require_zero_x_mean(field, what="operation"):
+def require_zero_x_mean(field, what):
     res = plane_residual(field, (0, slice(None)))
     if res:
         raise ValueError(

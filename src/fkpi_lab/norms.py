@@ -21,7 +21,7 @@ from .grid import plane_residual, to_physical, trusted_field
 @dataclass(frozen=True)
 class AnisoIndex:
     s1: float
-    s2: float = 0.0
+    s2: float
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ import numpy as np
 
 from .evolution import box_data_norms, propagate_linear, second_iterate_boxdata
 from .grid import SpectralField, fractional_x_derivative, is_dyadic
-from .norms import AnisoIndex, MixedNormSpec, mass, spacetime_norm
+from .norms import MixedNormSpec, mass, spacetime_norm
 from .symbols import omega1_arrays, omega_arrays, resonance_arrays
 
 
@@ -93,6 +93,8 @@ class Band:
 SIZE_LAW_BAND = Band(0.125, 8.0)
 TRANSVERSALITY_BAND = Band(0.0625, 16.0)
 DATA_NORM_BAND = Band(0.25, 4.0)
+# Center proposals per nonresonant trial before the L3 shell counts as missed.
+_CENTER_TRIES = 64
 
 
 def span_records(probe_name, inputs, spans, band):
@@ -116,9 +118,9 @@ def growth_band(alpha, theta):
 @dataclass(frozen=True)
 class ProbeSweep:
     dyadic_range: tuple
-    trials_per_point: int = 1
-    seed: int = 0
-    tolerance_band: tuple = (-math.inf, 0.1)
+    trials_per_point: int
+    seed: int
+    tolerance_band: tuple
 
     def __post_init__(self):
         vals = tuple(float(v) for v in self.dyadic_range)
@@ -252,7 +254,7 @@ def _linear_trajectory(params, u0, T, snapshots):
         yield float(t), u
 
 
-def linear_strichartz_ratio(params, spec, u0, T=1.0, snapshots=128, extra_inputs=None):
+def linear_strichartz_ratio(params, spec, u0, T, snapshots, extra_inputs=None):
     """Ratio of the x-smoothed free-evolution norm against the data's L^2 size.
 
     measured = L^q_t L^r norm of |D_x|^{-gamma} U(t) u0 over [0, T] with the
@@ -274,8 +276,8 @@ def linear_strichartz_ratio(params, spec, u0, T=1.0, snapshots=128, extra_inputs
     return make_record("linear_strichartz", inputs, measured, l2, True)
 
 
-def linear_strichartz_sweep(params, spec, sweep, grid, T=1.0, snapshots=128,
-                            eta_sigma=2.0, workers=None, comparator_shift=0.0):
+def linear_strichartz_sweep(params, spec, sweep, grid, T, snapshots, eta_sigma,
+                            workers, comparator_shift):
     """Band-sweep of linear_strichartz_ratio plus its slope verdict.
 
     The time window shrinks like 1/N from T at the first band, tracking the
@@ -297,7 +299,7 @@ def linear_strichartz_sweep(params, spec, sweep, grid, T=1.0, snapshots=128,
         comparator_shift)
 
 
-def lowfreq_l4_ratio(params, N, K, u0, T=1.0, snapshots=128):
+def lowfreq_l4_ratio(params, N, K, u0, T, snapshots):
     """L^4 space-time ratio for data in a low-frequency band of width K at N.
 
     comparator = K^{1/4} N^{1/8} ||u0||; the support must lie in
@@ -328,8 +330,7 @@ def lowfreq_l4_ratio(params, N, K, u0, T=1.0, snapshots=128):
     return make_record("lowfreq_l4", inputs, measured, comparator, True)
 
 
-def lowfreq_l4_sweep(params, sweep, grid, eta_sigma, T=1.0, snapshots=128,
-                     workers=None, comparator_shift=0.0):
+def lowfreq_l4_sweep(params, sweep, grid, eta_sigma, T, snapshots, workers, comparator_shift):
     _single_trial(sweep)
     return _sweep(
         sweep, lambda n: lowfreq_l4_ratio(
@@ -433,7 +434,7 @@ def coarea_product_norm(alpha, box_a, box_b, nk, nw, nx):
     return math.sqrt(math.pi * amp2 * total), span
 
 
-def bilinear_ratio(params, n1, n2, trials=6, seed=0, resolution=(20, 64, 48)):
+def bilinear_ratio(params, n1, n2, trials, seed, resolution):
     """Resonant bilinear product-norm ratio at high band n1, low band n2.
 
     Data are unit-L^2 indicator boxes: the high box tracks one exact
@@ -482,8 +483,7 @@ def bilinear_ratio(params, n1, n2, trials=6, seed=0, resolution=(20, 64, 48)):
     return make_record("bilinear", inputs, measured, comparator, True)
 
 
-def bilinear_sweep(params, n2, sweep, workers=None, comparator_shift=0.0,
-                   resolution=(20, 64, 48)):
+def bilinear_sweep(params, n2, sweep, workers, comparator_shift, resolution):
     return _sweep(
         sweep, lambda n1: bilinear_ratio(params, n1, n2, trials=sweep.trials_per_point,
                                          seed=sweep.seed, resolution=resolution),
@@ -629,13 +629,13 @@ def _trilinear_patch_run(params, p1, p2, bands, shells, nodes, rng,
     return measured / norms
 
 
-def lw_ratio(params, n1, n2, l1, l2, l3, trials=4, seed=0, nodes=(16, 12, 12),
-             center_pair=None, lattice_scale=None, extra_inputs=None):
+def lw_ratio(params, n1, n2, l1, l2, l3, trials, seed, nodes, lattice_scale=None,
+             extra_inputs=None):
     """Loomis-Whitney regime: transversal resonant interaction at low
     modulation.  comparator = N1^{-3a/4+1/2} N2^{-1/2} (L1 L2 L3)^{1/2}.
 
-    A collinear center pair (eta1 xi2 = eta2 xi1) voids the transversality
-    hypothesis: the record is flagged outside-hypothesis, not passed.
+    The centers are exactly resonant, so |eta1 xi2 - eta2 xi1| =
+    sqrt(Omega1 xi1 xi2 (xi1 + xi2)) > 0: transversal, never collinear.
     """
     if not (is_dyadic(n1) and is_dyadic(n2)) or n2 > n1:
         raise ValueError("need dyadic n2 <= n1")
@@ -653,15 +653,7 @@ def lw_ratio(params, n1, n2, l1, l2, l3, trials=4, seed=0, nodes=(16, 12, 12),
     vals = []
     for trial in range(trials):
         rng = np.random.default_rng([seed, 17, trial])
-        if center_pair is None:
-            p1, p2 = exact_resonant_center(params, n1, n2, rng)
-        else:
-            p1, p2 = center_pair
-        cross = p1[1] * p2[0] - p2[1] * p1[0]
-        scale = abs(p1[1] * p2[0]) + abs(p2[1] * p1[0]) + n1 ** (alpha / 2.0) * n2
-        if abs(cross) <= 1e-8 * scale:
-            return make_record("lw", inputs, 0.0, comparator, False,
-                               note="outside-hypothesis: collinear group velocities")
+        p1, p2 = exact_resonant_center(params, n1, n2, rng)
         vals.append(_trilinear_patch_run(params, p1, p2, (n1, n2, n1),
                                          (l1, l2, l3), nodes, rng,
                                          lattice_scale=lattice_scale))
@@ -672,8 +664,7 @@ def lw_ratio(params, n1, n2, l1, l2, l3, trials=4, seed=0, nodes=(16, 12, 12),
     return make_record("lw", inputs, measured, comparator, True)
 
 
-def lw_modulation_sweep(params, n1, n2, sweep, workers=None, comparator_shift=0.0,
-                        nodes=(16, 12, 12)):
+def lw_modulation_sweep(params, n1, n2, sweep, workers, comparator_shift, nodes):
     """Sweep L1 = L2 = L3 = L over sweep.dyadic_range at fixed bands."""
     scale = sweep.dyadic_range[0]
     return _sweep(
@@ -684,7 +675,7 @@ def lw_modulation_sweep(params, n1, n2, sweep, workers=None, comparator_shift=0.
         comparator_shift, "L")
 
 
-def lw_band_sweep(params, n2, sweep, l=1.0, workers=None, nodes=(16, 12, 12)):
+def lw_band_sweep(params, n2, sweep, l, workers, nodes):
     """Sweep the high band N1 at fixed modulation (the coarse-lattice check)."""
     return _sweep(
         sweep, lambda n1: lw_ratio(params, n1, n2, l, l, l, trials=sweep.trials_per_point,
@@ -692,9 +683,9 @@ def lw_band_sweep(params, n2, sweep, l=1.0, workers=None, nodes=(16, 12, 12)):
         "n1", {"alpha": params.alpha, "n2": n2, "l": l}, workers)
 
 
-def _nonresonant_centers(params, n1, n2, l3, rng, max_tries=64):
+def _nonresonant_centers(params, n1, n2, l3, rng):
     alpha = params.alpha
-    for _ in range(max_tries):
+    for _ in range(_CENTER_TRIES):
         xi1 = rng.uniform(n1, 2.0 * n1)
         xi2 = rng.uniform(n2, 2.0 * n2) * (1.0 if rng.random() < 0.5 else -1.0)
         if abs(xi1 + xi2) < n2 / 8.0:
@@ -707,8 +698,8 @@ def _nonresonant_centers(params, n1, n2, l3, rng, max_tries=64):
     raise ValueError("could not place a non-resonant center inside the L3 shell")
 
 
-def nonresonant_ratio(params, n1, n2, l1, l2, l3, trials=4, seed=0,
-                      nodes=(16, 12, 12), lattice_scale=None, extra_inputs=None):
+def nonresonant_ratio(params, n1, n2, l1, l2, l3, trials, seed, nodes,
+                      lattice_scale=None, extra_inputs=None):
     """High-modulation regime N1 << N2 ~ N3 with max L >= N1 N2^alpha.
 
     comparator = (L1 L2 L3)^{1/2} / Lmax^{1/4} * N2^{-alpha/2} N1^{1/4}.
@@ -740,9 +731,9 @@ def nonresonant_ratio(params, n1, n2, l1, l2, l3, trials=4, seed=0,
     return make_record("nonresonant", inputs, measured, comparator, True)
 
 
-def nonresonant_modulation_sweep(params, n1, n2, sweep, l3=None, workers=None,
-                                 comparator_shift=0.0, nodes=(16, 12, 12)):
-    """Sweep L1 over sweep.dyadic_range with L2 fixed and L3 in the high shell."""
+def nonresonant_modulation_sweep(params, n1, n2, sweep, l3, workers, comparator_shift,
+                                 nodes):
+    """Sweep L1 with L2 fixed and L3 in the high shell (None: 4 N1 N2^alpha)."""
     if l3 is None:
         l3 = 4.0 * n1 * n2 ** params.alpha
     scale = sweep.dyadic_range[0]
@@ -826,7 +817,7 @@ def scaling_exponent_fit(params, idx, lambdas, grid):
 # ------------------------------------------------------ norm-growth study
 
 
-def illposedness_growth_study(params, theta, n_list, sbar=None, t=1.0, quad_res=12):
+def illposedness_growth_study(params, theta, n_list, sbar, t, quad_res):
     """Second-iterate norm growth over a dyadic N sweep.
 
     Per N: gamma = N^{-(alpha-1)/2-theta}, the second-iterate norm at time
@@ -843,8 +834,6 @@ def illposedness_growth_study(params, theta, n_list, sbar=None, t=1.0, quad_res=
         raise ValueError("need at least 5 dyadic N values")
     if any(not is_dyadic(n) for n in ns) or ns != sorted(ns):
         raise ValueError("n_list must be ascending powers of two")
-    if sbar is None:
-        sbar = AnisoIndex(0.0, 0.0)
     alpha = params.alpha
     records, values = [], []
     for n in ns:

@@ -19,6 +19,8 @@ import numpy as np
 
 # Samplers never produce |xi| below this: the symbol is singular at xi = 0.
 XI_GUARD = 1e-8
+# Proposal rounds of the resonant sampler before it reports starvation.
+_SAMPLER_ROUNDS = 64
 
 
 @dataclass(frozen=True)
@@ -98,7 +100,7 @@ def interaction_boxes(alpha, N, gamma):
     return box1, box2
 
 
-def resonance_size_scan(params, N, gamma, samples=10000, seed=0):
+def resonance_size_scan(params, N, gamma, samples, seed):
     """Sample D~1 x D~2 uniformly and measure both resonance size laws."""
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
@@ -131,7 +133,7 @@ def resonance_size_scan(params, N, gamma, samples=10000, seed=0):
 # -------------------------------------------------------- resonant sampling
 
 
-def sample_resonant_pairs(params, n_max, n_min, count, rng, c=0.1, max_rounds=64):
+def sample_resonant_pairs(params, n_max, n_min, count, rng, c):
     """Rejection-sample pairs with dyadic magnitudes lying in {|Omega| <= c|Omega1|}.
 
     Magnitudes are drawn from [N/2, N] with random signs (xi1 + xi2 = 0
@@ -145,7 +147,7 @@ def sample_resonant_pairs(params, n_max, n_min, count, rng, c=0.1, max_rounds=64
     alpha = params.alpha
     got = 0
     chunks = []
-    for _ in range(max_rounds):
+    for _ in range(_SAMPLER_ROUNDS):
         n = max(4 * count, 64)
         s1 = np.where(rng.random(n) < 0.5, -1.0, 1.0)
         s2 = np.where(rng.random(n) < 0.5, -1.0, 1.0)
@@ -191,7 +193,7 @@ class TransversalityReport:
     slope_gap_ratio_max: float
 
 
-def transversality_check(params, n_max, n_min, samples=1000, seed=0, c=0.1):
+def transversality_check(params, n_max, n_min, samples, seed, c):
     """Measure the two transversality size laws on resonant samples:
 
     |eta1 xi2 - eta2 xi1| against N_max^{alpha/2+1} N_min, and the

@@ -153,7 +153,8 @@ class TestConservation:
         u0 = _smooth_data(grid, 0.05, 0.1, seed=0)
         assert math.sqrt(mass(u0)) == pytest.approx(0.1, rel=1e-12)
         params = S.DispersionParams(3.0)
-        traj = solve(params, u0, EvolutionConfig(dt=1e-3, T=1.0, snapshot_stride=50),
+        traj = solve(params, u0, EvolutionConfig(dt=1e-3, T=1.0, scheme="etdrk4",
+                                                 snapshot_stride=50),
                      observe=lambda f: (mass(f), energy_alpha(params, f)))
         assert len(traj.observed) == 21
         (m0, e0), *_ = traj.observed
@@ -214,12 +215,14 @@ class TestScalingExponent:
 class TestNormInflation:
     N_LIST = (256.0, 512.0, 1024.0, 2048.0, 4096.0, 8192.0)
     THETA = 0.05
+    SBAR = AnisoIndex(0.0, 0.0)
 
     @pytest.mark.parametrize("alpha", [2.0, 2.2])
     def test_growth_exponent(self, alpha):
         start = time.perf_counter()
         records = illposedness_growth_study(S.DispersionParams(alpha),
-                                            self.THETA, self.N_LIST)
+                                            self.THETA, self.N_LIST, self.SBAR,
+                                            t=1.0, quad_res=12)
         summary = records[-1]
         target = 1.75 - 0.75 * alpha - 1.5 * self.THETA
         assert summary.comparator == pytest.approx(target, abs=1e-12)
@@ -230,9 +233,9 @@ class TestNormInflation:
 
     def test_sign_change_across_threshold(self):
         low = illposedness_growth_study(S.DispersionParams(2.0), self.THETA,
-                                        self.N_LIST)
+                                        self.N_LIST, self.SBAR, t=1.0, quad_res=12)
         high = illposedness_growth_study(S.DispersionParams(2.6), self.THETA,
-                                         self.N_LIST)
+                                         self.N_LIST, self.SBAR, t=1.0, quad_res=12)
         assert low[-1].measured > 0.0
         assert high[-1].measured < 0.0
 
@@ -249,6 +252,8 @@ class TestNormInflation:
 # The trend sweeps are deterministic, so each (probe, shift) runs once per
 # pytest run and the tests below share its slope summary.
 P3 = S.DispersionParams(3.0)
+# lattice nodes per patch (tau, xi, eta), as the trilinear row's defaults
+NODES = (16, 12, 12)
 
 
 @functools.cache
@@ -257,6 +262,7 @@ def linear_trend(shift):
     grid = FrequencyGrid(length_x=2.0 * math.pi, length_y=2.0 * math.pi,
                          modes_x=512, modes_y=64)
     return linear_strichartz_sweep(P3, MixedNormSpec(4.0, 4.0), sweep, grid,
+                                   T=1.0, snapshots=128, eta_sigma=2.0, workers=None,
                                    comparator_shift=shift)[-1]
 
 
@@ -266,14 +272,15 @@ def lowfreq_trend(shift):
                        (-0.2, 0.2))
     grid = FrequencyGrid(length_x=256.0 * math.pi, length_y=16.0 * math.pi,
                          modes_x=512, modes_y=64)
-    return lowfreq_l4_sweep(P3, sweep, grid, eta_sigma=1.0,
-                            comparator_shift=shift)[-1]
+    return lowfreq_l4_sweep(P3, sweep, grid, eta_sigma=1.0, T=1.0, snapshots=128,
+                            workers=None, comparator_shift=shift)[-1]
 
 
 @functools.cache
 def bilinear_trend(shift):
     sweep = ProbeSweep((8.0, 16.0, 32.0, 64.0), 8, 0, (-INF, 0.1))
-    return bilinear_sweep(P3, 2.0, sweep, workers=4, comparator_shift=shift)[-1]
+    return bilinear_sweep(P3, 2.0, sweep, workers=4, comparator_shift=shift,
+                          resolution=(20, 64, 48))[-1]
 
 
 @functools.cache
@@ -281,9 +288,11 @@ def lattice_trends():
     bands = ProbeSweep((8.0, 16.0, 32.0, 64.0), 4, 0, (-INF, 0.2))
     widths = ProbeSweep((1.0, 2.0, 4.0, 8.0), 4, 0, (-INF, 0.2))
     return (
-        lw_band_sweep(P3, 2.0, bands)[-1],
-        lw_modulation_sweep(P3, 8.0, 2.0, widths)[-1],
-        nonresonant_modulation_sweep(P3, 1.0, 8.0, widths)[-1],
+        lw_band_sweep(P3, 2.0, bands, l=1.0, workers=None, nodes=NODES)[-1],
+        lw_modulation_sweep(P3, 8.0, 2.0, widths, workers=None, comparator_shift=0.0,
+                            nodes=NODES)[-1],
+        nonresonant_modulation_sweep(P3, 1.0, 8.0, widths, l3=None, workers=None,
+                                     comparator_shift=0.0, nodes=NODES)[-1],
     )
 
 

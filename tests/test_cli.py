@@ -396,6 +396,9 @@ class TestExitCodes:
         (["data.amplitude=1e200", "data.l2_norm=1"], "the data's mass is not finite"),
         (["data.amplitude=1e308"], "samples must be finite"),
         (["grid.length_y=Infinity"], "box lengths must be positive and finite"),
+        # zero data, which no scaling brings to a positive norm
+        (["data.amplitude=0", "data.l2_norm=1"], "data.l2_norm > 0 needs nonzero data"),
+        (["data.kind=zero", "data.l2_norm=1"], "data.l2_norm > 0 needs nonzero data"),
     ])
     def test_nonfinite_data_exits_1_without_records(self, tmp_path, capsys, command,
                                                     settings, message):
@@ -585,6 +588,34 @@ class TestSweepCommands:
                        "--output-dir", str(out))
         assert code == 1
         assert "lw_band" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, regime, key, value", [
+        ("strichartz", "lowfreq", "q", 6),
+        ("strichartz", "lowfreq", "r", 6),
+        ("trilinear", "lw_band", "n1", 32),
+        ("trilinear", "lw_band", "l3", 64),
+        ("trilinear", "lw_modulation", "l", 2),
+        ("trilinear", "lw_modulation", "l3", 64),
+        ("trilinear", "nonresonant", "l", 2),
+    ])
+    def test_regime_rejects_a_key_it_never_reads(self, tmp_path, capsys, command,
+                                                 regime, key, value):
+        out = tmp_path / "out"
+        code = run_cli(command, "--set", f"{command}.{cli.REGIME_KEYS[command]}={regime}",
+                       "--set", f"{command}.{key}={value}", "--output-dir", str(out))
+        assert code == 1
+        assert (f"error: the {regime} regime does not read {command}.{key}"
+                in capsys.readouterr().err)
+        assert not (out / "records.csv").exists()
+
+    def test_help_names_the_regimes_that_read_each_key(self):
+        for (command, _), keys in cli.UNREAD_KEYS.items():
+            regimes = cli.SCHEMA[command][cli.REGIME_KEYS[command]].choices
+            for key in keys:
+                readers = [r for r in regimes
+                           if key not in cli.UNREAD_KEYS.get((command, r), ())]
+                assert cli.SCHEMA[command][key].help.endswith(
+                    "; read by " + ", ".join(readers))
 
     def test_resonance_scan_laws(self, tmp_path):
         out = tmp_path / "out"

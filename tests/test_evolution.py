@@ -43,21 +43,23 @@ def march(params, u0, cfg, indices):
 class TestConfig:
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            ev.EvolutionConfig(dt=0.0, T=1.0)
+            ev.EvolutionConfig(dt=0.0, T=1.0, scheme="etdrk4", snapshot_stride=1)
         with pytest.raises(ValueError):
-            ev.EvolutionConfig(dt=0.1, T=-1.0)
+            ev.EvolutionConfig(dt=0.1, T=-1.0, scheme="etdrk4", snapshot_stride=1)
         with pytest.raises(ValueError):
-            ev.EvolutionConfig(dt=2.0, T=1.0)
+            ev.EvolutionConfig(dt=2.0, T=1.0, scheme="etdrk4", snapshot_stride=1)
         with pytest.raises(ValueError):
-            ev.EvolutionConfig(dt=0.1, T=1.0, scheme="rk4")
+            ev.EvolutionConfig(dt=0.1, T=1.0, scheme="rk4", snapshot_stride=1)
         with pytest.raises(ValueError):
-            ev.EvolutionConfig(dt=0.1, T=1.0, snapshot_stride=0)
+            ev.EvolutionConfig(dt=0.1, T=1.0, scheme="etdrk4", snapshot_stride=0)
 
     def test_step_count(self):
-        assert ev.EvolutionConfig(dt=0.1, T=1.0).n_steps() == 10
-        assert ev.EvolutionConfig(dt=0.1, T=0.0).n_steps() == 0
+        assert ev.EvolutionConfig(dt=0.1, T=1.0, scheme="etdrk4",
+                                  snapshot_stride=1).n_steps() == 10
+        assert ev.EvolutionConfig(dt=0.1, T=0.0, scheme="etdrk4",
+                                  snapshot_stride=1).n_steps() == 0
         with pytest.raises(ValueError):
-            ev.EvolutionConfig(dt=0.3, T=1.0).n_steps()
+            ev.EvolutionConfig(dt=0.3, T=1.0, scheme="etdrk4", snapshot_stride=1).n_steps()
 
 
 class TestLinearPropagator:
@@ -183,7 +185,7 @@ class TestSteppers:
         u = smooth_field(g)
         p = DispersionParams(ALPHA)
         for scheme in ("etdrk4", "strang"):
-            cfg = ev.EvolutionConfig(dt=0.05, T=0.05, scheme=scheme)
+            cfg = ev.EvolutionConfig(dt=0.05, T=0.05, scheme=scheme, snapshot_stride=1)
             got = ev.step(p, u, cfg)
             want = ev.propagate_linear(p, u, 0.05)
             scale = np.max(np.abs(want.coeffs))
@@ -194,7 +196,7 @@ class TestSteppers:
         g = small_grid(32)
         u = smooth_field(g)
         p = DispersionParams(ALPHA)
-        cfg = ev.EvolutionConfig(dt=0.01, T=0.3, snapshot_stride=10 ** 9)
+        cfg = ev.EvolutionConfig(dt=0.01, T=0.3, scheme="etdrk4", snapshot_stride=10 ** 9)
         got = ev.solve(p, u, cfg).fields[-1]
         want = ev.propagate_linear(p, u, 0.3)
         assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-10 * np.max(np.abs(want.coeffs))
@@ -242,7 +244,7 @@ class TestSteppers:
         g = small_grid(32)
         u = smooth_field(g, amplitude=1e8)
         p = DispersionParams(ALPHA)
-        cfg = ev.EvolutionConfig(dt=0.5, T=10.0)
+        cfg = ev.EvolutionConfig(dt=0.5, T=10.0, scheme="etdrk4", snapshot_stride=1)
         with pytest.raises(ev.BlowupError) as err:
             ev.solve(p, u, cfg)
         assert err.value.step_index >= 1
@@ -254,7 +256,7 @@ class TestSolveBookkeeping:
         g = small_grid(16)
         u = smooth_field(g)
         p = DispersionParams(ALPHA)
-        cfg = ev.EvolutionConfig(dt=0.1, T=1.0, snapshot_stride=3)
+        cfg = ev.EvolutionConfig(dt=0.1, T=1.0, scheme="etdrk4", snapshot_stride=3)
         traj = ev.solve(p, u, cfg)
         assert np.allclose(traj.times, [0.0, 0.3, 0.6, 0.9, 1.0])
         assert traj.observed is None
@@ -266,7 +268,7 @@ class TestSolveBookkeeping:
     def test_snapshots_hold_only_half_spectra(self, scheme):
         g = FrequencyGrid(2 * np.pi, 2 * np.pi, 16, 12)
         u = smooth_field(g)
-        cfg = ev.EvolutionConfig(dt=0.1, T=0.5, scheme=scheme)
+        cfg = ev.EvolutionConfig(dt=0.1, T=0.5, scheme=scheme, snapshot_stride=1)
         traj = ev.solve(DispersionParams(ALPHA), u, cfg, observe=lambda f: f)
         assert len(traj.observed) == 6
         assert traj.fields == [traj.observed[-1]]
@@ -280,7 +282,8 @@ class TestSolveBookkeeping:
     def test_zero_horizon(self):
         g = small_grid(16)
         u = smooth_field(g)
-        traj = ev.solve(DispersionParams(ALPHA), u, ev.EvolutionConfig(dt=0.1, T=0.0))
+        cfg = ev.EvolutionConfig(dt=0.1, T=0.0, scheme="etdrk4", snapshot_stride=1)
+        traj = ev.solve(DispersionParams(ALPHA), u, cfg)
         assert traj.times == [0.0]
         assert traj.fields == [u]
         assert traj.fields[0] is u
@@ -311,8 +314,8 @@ class TestSolveBookkeeping:
         g = small_grid(16)
         u = smooth_field(g)
         seen = []
-        traj = ev.solve(DispersionParams(ALPHA), u, ev.EvolutionConfig(dt=0.1, T=0.0),
-                        observe=seen.append)
+        cfg = ev.EvolutionConfig(dt=0.1, T=0.0, scheme="etdrk4", snapshot_stride=1)
+        traj = ev.solve(DispersionParams(ALPHA), u, cfg, observe=seen.append)
         assert seen == [u]
         assert traj.times == [0.0]
         assert traj.observed == [None]
@@ -470,7 +473,8 @@ class TestSecondIterateBoxData:
 
     def test_zero_time(self):
         p = DispersionParams(2.2)
-        assert ev.second_iterate_boxdata(p, 1024, 1024 ** -0.65, self.SBAR, 0.0) == 0.0
+        assert ev.second_iterate_boxdata(p, 1024, 1024 ** -0.65, self.SBAR, 0.0,
+                                         quad_res=12) == 0.0
 
     def test_small_time_linearity(self):
         p = DispersionParams(2.2)
@@ -495,7 +499,7 @@ class TestSecondIterateBoxData:
         with pytest.raises(ValueError):
             ev.second_iterate_boxdata(p, 1024, 1024 ** -0.65, self.SBAR, 0.5, quad_res=4)
         with pytest.raises(ValueError):
-            ev.second_iterate_boxdata(p, 1024, 0.9, self.SBAR, 0.5)
+            ev.second_iterate_boxdata(p, 1024, 0.9, self.SBAR, 0.5, quad_res=12)
 
     def test_box_norms_order_one(self):
         p = DispersionParams(2.2)

@@ -72,6 +72,15 @@ class TestSpectralField:
         with pytest.raises(ValueError):
             G.SpectralField(g, c)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_coefficients_rejected(self, bad):
+        # a Hermitian pair at modes (+-1, 0): a NaN defect or an infinite
+        # scale must not pass the symmetry check
+        c = np.zeros((16, 16), dtype=complex)
+        c[1, 0] = c[-1, 0] = bad
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            G.SpectralField(small_grid(16), c)
+
     def test_symmetrization_is_exact(self):
         f = random_real_field(small_grid(), seed=3)
         assert G.hermitian_defect(f.coeffs) == 0.0
@@ -330,6 +339,15 @@ class TestSerialization:
         path.write_bytes(b"FKPI1" + struct.pack("<ddqq", 2 * math.pi, 2 * math.pi, 16, 16)
                          + c.tobytes())
         with pytest.raises(ValueError, match="Hermitian symmetry"):
+            G.load_field(path)
+
+    def test_nonfinite_body_rejected(self, tmp_path):
+        c = np.zeros((16, 16), dtype="<c16")
+        c[1, 0] = c[-1, 0] = math.nan
+        path = tmp_path / "nan.fkpi"
+        path.write_bytes(b"FKPI1" + struct.pack("<ddqq", 2 * math.pi, 2 * math.pi, 16, 16)
+                         + c.tobytes())
+        with pytest.raises(ValueError, match="coefficients must be finite"):
             G.load_field(path)
 
     def test_golden_bytes(self, tmp_path):

@@ -153,3 +153,84 @@ def test_detector_flags_dead_public_names():
               "class Orphan: pass\n")
     caller = "from .module import Exported, used\nvalue = used()\n"
     assert unreferenced_public([module, caller]) == ["Exported", "Orphan", "dead"]
+
+
+# Keyword defaults of public signatures, one entry per function, method or
+# dataclass naming every parameter or field it gives a default, each kept for
+# a stated reason.  A value that a cli.SCHEMA key feeds has no default here:
+# SCHEMA is its one home.
+KEPT_DEFAULTS = {
+    "Band(lo, hi, target)": "a band may be open on either side and need not name a target",
+    "Band.record(comparator, checked, note)":
+        "most verdicts compare against the band, hold `measured` alone and carry no note",
+    "ExperimentRecord(note)": "a record carries a note only when something needs saying",
+    "make_record(note)": "a record carries a note only when something needs saying",
+    "solve(observe)": "without an observer solve records the times and the final state",
+    "Trajectory(observed)": "None when solve ran without an observer",
+    "linear_strichartz_ratio(extra_inputs)": "only a sweep adds its sweep-variable column",
+    "lw_ratio(lattice_scale, extra_inputs)":
+        "one point sizes its lattice by its shells; a sweep pins it and adds its column",
+    "nonresonant_ratio(lattice_scale, extra_inputs)":
+        "one point sizes its lattice by its shells; a sweep pins it and adds its column",
+    "parse_config(command)": "the command may come from the config text itself",
+    "main(argv)": "the fkpi-lab console script calls main() to parse sys.argv",
+}
+
+
+def _declares_default(value):
+    # field(...) without default= or default_factory= gives the field none
+    return not (isinstance(value, ast.Call) and ast.unparse(value.func) == "field"
+                and not {k.arg for k in value.keywords} & {"default", "default_factory"})
+
+
+def keyword_defaults(source):
+    """'name(params)' for each public function, method, __init__ (named as its
+    class) and dataclass of a module that gives any parameter or field a
+    default, naming those parameters in signature order."""
+    found = []
+
+    def visit(body, owner):
+        for node in body:
+            if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    or node.name.startswith("_") and node.name != "__init__"):
+                continue
+            if isinstance(node, ast.ClassDef):
+                names = [s.target.id for s in node.body
+                         if any("dataclass" in ast.unparse(d) for d in node.decorator_list)
+                         and isinstance(s, ast.AnnAssign) and s.value is not None
+                         and _declares_default(s.value)]
+                if names:
+                    found.append(f"{node.name}({', '.join(names)})")
+                visit(node.body, node.name + ".")
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            names = [a.arg for a in positional[len(positional) - len(args.defaults):]]
+            names += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            if names:
+                name = owner[:-1] if node.name == "__init__" else owner + node.name
+                found.append(f"{name}({', '.join(names)})")
+
+    visit(ast.parse(source).body, "")
+    return found
+
+
+def test_only_kept_keyword_defaults():
+    found = [entry for path in sorted(PACKAGE.glob("*.py"))
+             for entry in keyword_defaults(path.read_text())]
+    assert sorted(found) == sorted(KEPT_DEFAULTS)
+
+
+def test_detector_flags_keyword_defaults():
+    source = ("from dataclasses import dataclass, field\n"
+              "def f(a, b=1, *, c, d=2): pass\n"
+              "def g(a, /, b): pass\n"
+              "def _private(a=1): pass\n"
+              "@dataclass(frozen=True)\nclass C:\n    x: int\n    y: int = 0\n"
+              "    z: list = field(repr=False)\n"
+              "    w: list = field(default_factory=list)\n"
+              "    def m(self, k=None): pass\n"
+              "    def _h(self, k=None): pass\n"
+              "class Plain:\n    v: int = 0\n"
+              "    def __init__(self, a, b=2): pass\n")
+    assert keyword_defaults(source) == ["f(b, d)", "C(y, w)", "C.m(k)", "Plain(b)"]

@@ -23,7 +23,7 @@ def mode_field(grid, kx, ky, amplitude=1.0):
 
 class TestSpecs:
     def test_aniso_index(self):
-        idx = nm.AnisoIndex(1.5)
+        idx = nm.AnisoIndex(1.5, 0.0)
         assert idx.s1 == 1.5 and idx.s2 == 0.0
 
     def test_mixed_norm_validation(self):

@@ -14,6 +14,10 @@ from fkpi_lab.symbols import DispersionParams
 
 P3 = DispersionParams(3.0)
 TWO_PI = 2.0 * math.pi
+# the CLI rows' co-area resolution and lattice nodes, and the unweighted norm
+RESOLUTION = (20, 64, 48)
+NODES = (16, 12, 12)
+UNWEIGHTED = AnisoIndex(0.0, 0.0)
 
 
 def small_grid(mx=64, my=16, lx=TWO_PI, ly=TWO_PI):
@@ -86,28 +90,31 @@ def test_record_ratio_property(measured, comparator):
 
 class TestProbeSweep:
     def test_valid(self):
-        s = pr.ProbeSweep((1.0, 2.0, 4.0), trials_per_point=3)
+        s = pr.ProbeSweep((1.0, 2.0, 4.0), trials_per_point=3, seed=0,
+                          tolerance_band=(-math.inf, 0.1))
         assert s.dyadic_range == (1.0, 2.0, 4.0)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            pr.ProbeSweep(())
+            pr.ProbeSweep((), 1, 0, (-math.inf, 0.1))
 
     def test_rejects_non_dyadic(self):
         with pytest.raises(ValueError):
-            pr.ProbeSweep((1.0, 3.0))
+            pr.ProbeSweep((1.0, 3.0), 1, 0, (-math.inf, 0.1))
 
     def test_rejects_descending(self):
         with pytest.raises(ValueError):
-            pr.ProbeSweep((4.0, 2.0))
+            pr.ProbeSweep((4.0, 2.0), 1, 0, (-math.inf, 0.1))
 
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
-            pr.ProbeSweep((1.0, 2.0), trials_per_point=0)
+            pr.ProbeSweep((1.0, 2.0), trials_per_point=0, seed=0,
+                          tolerance_band=(-math.inf, 0.1))
 
     def test_rejects_unordered_band(self):
         with pytest.raises(ValueError):
-            pr.ProbeSweep((1.0, 2.0), tolerance_band=(0.2, -0.2))
+            pr.ProbeSweep((1.0, 2.0), trials_per_point=1, seed=0,
+                          tolerance_band=(0.2, -0.2))
 
 
 class TestSlopeFit:
@@ -259,7 +266,7 @@ class TestGrowthBand:
         band = pr.growth_band(alpha, self.THETA)
         recs = pr.illposedness_growth_study(DispersionParams(alpha), self.THETA,
                                             [32.0, 64.0, 128.0, 256.0, 512.0],
-                                            quad_res=8)
+                                            UNWEIGHTED, t=1.0, quad_res=8)
         fitted = recs[-1].measured
         assert recs[-1].passed == old_growth_verdict(alpha, self.THETA, fitted)
         slopes = [fitted, -1e-9, 1e-9] + [band.target + d for d in (
@@ -554,7 +561,8 @@ class TestBilinearOracles:
 
         monkeypatch.setattr(pr, "coarea_product_norm", spy)
         for n1 in (8.0, 64.0):
-            pr.bilinear_ratio(DispersionParams(2.5), n1, 2.0, trials=2)
+            pr.bilinear_ratio(DispersionParams(2.5), n1, 2.0, trials=2, seed=0,
+                              resolution=RESOLUTION)
         assert len(calls) == 4
         for args in calls:
             assert fast(*args) == loop_coarea_product_norm(*args)
@@ -589,13 +597,13 @@ class TestBilinearRatio:
 
     def test_band_separation_required(self):
         with pytest.raises(ValueError, match="n1 >> n2"):
-            pr.bilinear_ratio(P3, 4.0, 2.0)
+            pr.bilinear_ratio(P3, 4.0, 2.0, trials=6, seed=0, resolution=RESOLUTION)
         with pytest.raises(ValueError, match="dyadic"):
-            pr.bilinear_ratio(P3, 12.0, 2.0)
+            pr.bilinear_ratio(P3, 12.0, 2.0, trials=6, seed=0, resolution=RESOLUTION)
 
     def test_resolution_floor(self):
         with pytest.raises(ValueError, match="resolution"):
-            pr.bilinear_ratio(P3, 8.0, 2.0, resolution=(4, 16, 16))
+            pr.bilinear_ratio(P3, 8.0, 2.0, trials=6, seed=0, resolution=(4, 16, 16))
 
     def test_comparator_exponent(self):
         rec = pr.bilinear_ratio(P3, 16.0, 2.0, trials=2, seed=0,
@@ -668,13 +676,15 @@ class TestLinearStrichartz:
     def test_zero_data_degenerate(self):
         g = small_grid()
         u0 = to_spectral(np.zeros((g.modes_x, g.modes_y)), g)
-        rec = pr.linear_strichartz_ratio(P3, MixedNormSpec(4.0, 4.0), u0)
+        rec = pr.linear_strichartz_ratio(P3, MixedNormSpec(4.0, 4.0), u0, T=1.0,
+                                         snapshots=128)
         assert rec.measured == 0.0 and "degenerate" in rec.note
 
     def test_inadmissible_spec_raises(self):
         u0 = smooth_field(small_grid())
         with pytest.raises(ValueError, match="admissible"):
-            pr.linear_strichartz_ratio(P3, MixedNormSpec(4.0, 6.0), u0)
+            pr.linear_strichartz_ratio(P3, MixedNormSpec(4.0, 6.0), u0, T=1.0,
+                                       snapshots=128)
 
     def test_amplitude_homogeneity(self):
         g = small_grid()
@@ -686,16 +696,19 @@ class TestLinearStrichartz:
         assert r1.ratio == pytest.approx(r2.ratio, rel=1e-12)
 
     def test_band_sweep_and_negative_control(self):
-        sweep = pr.ProbeSweep((2.0, 4.0, 8.0, 16.0),
+        sweep = pr.ProbeSweep((2.0, 4.0, 8.0, 16.0), trials_per_point=1, seed=0,
                               tolerance_band=(-math.inf, 0.1))
         g = FrequencyGrid(length_x=TWO_PI, length_y=TWO_PI,
                           modes_x=128, modes_y=16)
         spec = MixedNormSpec(4.0, 4.0)
-        recs = pr.linear_strichartz_sweep(P3, spec, sweep, grid=g, snapshots=48)
+        recs = pr.linear_strichartz_sweep(P3, spec, sweep, grid=g, T=1.0, snapshots=48,
+                                          eta_sigma=2.0, workers=None,
+                                          comparator_shift=0.0)
         assert len(recs) == 5
         assert recs[-1].probe_name == "linear_strichartz_slope"
         assert recs[-1].passed
-        bad = pr.linear_strichartz_sweep(P3, spec, sweep, grid=g, snapshots=48,
+        bad = pr.linear_strichartz_sweep(P3, spec, sweep, grid=g, T=1.0, snapshots=48,
+                                         eta_sigma=2.0, workers=None,
                                          comparator_shift=-0.25)
         assert not bad[-1].passed
 
@@ -713,7 +726,7 @@ class TestLowfreqL4:
         # constant-modulus traveling wave: ||u||_{L4}^4 = (3/8) A^4 Lx Ly
         g = self.grid()
         u0 = self.single_mode(g)
-        rec = pr.lowfreq_l4_ratio(P3, 0.25, 0.25, u0, snapshots=16)
+        rec = pr.lowfreq_l4_ratio(P3, 0.25, 0.25, u0, T=1.0, snapshots=16)
         want = 0.7 * (0.375 * g.length_x * g.length_y) ** 0.25
         assert rec.measured == pytest.approx(want, rel=1e-12)
         assert rec.comparator == pytest.approx(
@@ -723,57 +736,50 @@ class TestLowfreqL4:
     def test_amplitude_invariance(self):
         g = self.grid()
         r1 = pr.lowfreq_l4_ratio(P3, 0.25, 0.25, self.single_mode(g, 0.7),
-                                 snapshots=8)
+                                 T=1.0, snapshots=8)
         r2 = pr.lowfreq_l4_ratio(P3, 0.25, 0.25, self.single_mode(g, 1.9),
-                                 snapshots=8)
+                                 T=1.0, snapshots=8)
         assert r1.ratio == pytest.approx(r2.ratio, rel=1e-12)
 
     def test_support_violation_raises(self):
         g = self.grid()
         u0 = self.single_mode(g)
         with pytest.raises(ValueError, match="support"):
-            pr.lowfreq_l4_ratio(P3, 0.125, 0.0625, u0)
+            pr.lowfreq_l4_ratio(P3, 0.125, 0.0625, u0, T=1.0, snapshots=128)
 
     def test_band_validation(self):
         g = self.grid()
         u0 = self.single_mode(g)
         with pytest.raises(ValueError, match="dyadic"):
-            pr.lowfreq_l4_ratio(P3, 2.0, 0.25, u0)
+            pr.lowfreq_l4_ratio(P3, 2.0, 0.25, u0, T=1.0, snapshots=128)
         with pytest.raises(ValueError, match="dyadic"):
-            pr.lowfreq_l4_ratio(P3, 0.25, 0.3, u0)
+            pr.lowfreq_l4_ratio(P3, 0.25, 0.3, u0, T=1.0, snapshots=128)
 
 
 # --------------------------------------------------------- lattice trilinear
 
 
 class TestLwRatio:
-    def test_collinear_centers_flagged_outside_hypothesis(self):
-        rec = pr.lw_ratio(P3, 8.0, 2.0, 1.0, 1.0, 1.0,
-                          center_pair=((8.0, 4.0), (2.0, 1.0)))
-        assert not rec.passed
-        assert "outside-hypothesis" in rec.note
-        assert rec.measured == 0.0
-
     def test_modulation_cap(self):
         with pytest.raises(ValueError, match="L << N1"):
-            pr.lw_ratio(P3, 2.0, 2.0, 1.0, 1.0, 16.0)
+            pr.lw_ratio(P3, 2.0, 2.0, 1.0, 1.0, 16.0, trials=4, seed=0, nodes=NODES)
 
     def test_band_validation(self):
         with pytest.raises(ValueError, match="dyadic"):
-            pr.lw_ratio(P3, 2.0, 8.0, 1.0, 1.0, 1.0)
+            pr.lw_ratio(P3, 2.0, 8.0, 1.0, 1.0, 1.0, trials=4, seed=0, nodes=NODES)
         with pytest.raises(ValueError, match="dyadic"):
-            pr.lw_ratio(P3, 10.0, 2.0, 1.0, 1.0, 1.0)
+            pr.lw_ratio(P3, 10.0, 2.0, 1.0, 1.0, 1.0, trials=4, seed=0, nodes=NODES)
 
     def test_deterministic(self):
-        a = pr.lw_ratio(P3, 8.0, 2.0, 1.0, 1.0, 1.0, trials=2, seed=4)
-        b = pr.lw_ratio(P3, 8.0, 2.0, 1.0, 1.0, 1.0, trials=2, seed=4)
+        a = pr.lw_ratio(P3, 8.0, 2.0, 1.0, 1.0, 1.0, trials=2, seed=4, nodes=NODES)
+        b = pr.lw_ratio(P3, 8.0, 2.0, 1.0, 1.0, 1.0, trials=2, seed=4, nodes=NODES)
         assert a.measured == b.measured and a.to_dict() == b.to_dict()
 
     def test_coarse_lattice_example(self):
         # N2 = 2, N1 in {8, 16, 32}, unit modulations: decay, never growth
         ns = (8.0, 16.0, 32.0)
-        ratios = [pr.lw_ratio(P3, n, 2.0, 1.0, 1.0, 1.0, trials=4, seed=0).ratio
-                  for n in ns]
+        ratios = [pr.lw_ratio(P3, n, 2.0, 1.0, 1.0, 1.0, trials=4, seed=0,
+                              nodes=NODES).ratio for n in ns]
         slope = float(np.polyfit(np.log(ns), np.log(ratios), 1)[0])
         assert slope <= 0.2
 
@@ -788,15 +794,17 @@ class TestLwRatio:
 class TestNonresonantRatio:
     def test_band_separation_required(self):
         with pytest.raises(ValueError, match="n1 << n2"):
-            pr.nonresonant_ratio(P3, 4.0, 8.0, 1.0, 1.0, 4096.0)
+            pr.nonresonant_ratio(P3, 4.0, 8.0, 1.0, 1.0, 4096.0, trials=4, seed=0,
+                                 nodes=NODES)
 
     def test_needs_high_modulation(self):
         with pytest.raises(ValueError, match="max L >="):
-            pr.nonresonant_ratio(P3, 1.0, 8.0, 1.0, 1.0, 1.0)
+            pr.nonresonant_ratio(P3, 1.0, 8.0, 1.0, 1.0, 1.0, trials=4, seed=0,
+                                 nodes=NODES)
 
     def test_runs_in_regime(self):
         rec = pr.nonresonant_ratio(P3, 1.0, 8.0, 1.0, 1.0, 2048.0, trials=2,
-                                   seed=0, lattice_scale=1.0)
+                                   seed=0, nodes=NODES, lattice_scale=1.0)
         assert rec.passed and rec.measured > 0.0
         want = (math.sqrt(2048.0) / 2048.0 ** 0.25) * 8.0 ** -1.5 * 1.0
         assert rec.comparator == pytest.approx(want, rel=1e-12)
@@ -904,17 +912,18 @@ class TestGrowthStudy:
     def test_validation(self):
         with pytest.raises(ValueError, match="theta"):
             pr.illposedness_growth_study(P3, 0.0, [32.0, 64.0, 128.0, 256.0,
-                                                   512.0])
+                                                   512.0], UNWEIGHTED, t=1.0, quad_res=12)
         with pytest.raises(ValueError, match="5 dyadic"):
-            pr.illposedness_growth_study(P3, 0.05, [32.0, 64.0, 128.0, 256.0])
+            pr.illposedness_growth_study(P3, 0.05, [32.0, 64.0, 128.0, 256.0],
+                                         UNWEIGHTED, t=1.0, quad_res=12)
         with pytest.raises(ValueError, match="powers of two"):
             pr.illposedness_growth_study(P3, 0.05, [32.0, 48.0, 128.0, 256.0,
-                                                    512.0])
+                                                    512.0], UNWEIGHTED, t=1.0, quad_res=12)
 
     def test_record_structure(self):
         p = DispersionParams(2.5)
         ns = [32.0, 64.0, 128.0, 256.0, 512.0]
-        recs = pr.illposedness_growth_study(p, 0.1, ns, quad_res=8)
+        recs = pr.illposedness_growth_study(p, 0.1, ns, UNWEIGHTED, t=1.0, quad_res=8)
         assert len(recs) == len(ns) + 1
         for rec, n in zip(recs, ns):
             assert rec.probe_name == "illposedness_growth"
