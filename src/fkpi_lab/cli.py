@@ -102,8 +102,9 @@ SCHEMA = {
     "data": {
         "kind": _Key("smooth", "str", "initial data for simulate/conserve",
                      ("smooth", "zero")),
-        "amplitude": _Key(0.05, "float", "amplitude of the smooth profile"),
-        "l2_norm": _Key(0.0, "float", "if > 0, rescale data to this L2 norm"),
+        "amplitude": _Key(0.05, "float", "amplitude of the profile; read by smooth"),
+        "l2_norm": _Key(0.0, "float", "if > 0, rescale data to this L2 norm; "
+                        "must not be negative"),
     },
     "conserve": {
         "mass_tol": _Key(1e-6, "float", "relative mass drift cap"),
@@ -302,9 +303,11 @@ def _build_config(raw, command):
                          f" it reads {', '.join(reads)}")
     sections = {name: _fill_section(name, cfg.get(name), row)
                 for name, row in reads.items()}
-    for k2 in UNREAD_KEYS.get((cmd, regime), ()):
-        if sections[cmd][k2] != SCHEMA[cmd][k2].default:
-            raise ValueError(f"the {regime} regime does not read {cmd}.{k2}")
+    for name, values in sections.items():
+        chosen = values.get(REGIME_KEYS.get(name))
+        for k2 in UNREAD_KEYS.get((name, chosen), ()):
+            if values[k2] != SCHEMA[name][k2].default:
+                raise ValueError(f"the {chosen} regime does not read {name}.{k2}")
     # schema keys of these sections are the constructors' field names
     grid = FrequencyGrid(**sections["grid"]) if "grid" in reads else None
     evolution = EvolutionConfig(**sections["evolution"]) if "evolution" in reads else None
@@ -360,7 +363,9 @@ def _smooth_data(grid, amplitude, l2_target, seed):
 
 
 def _rescaled(u0, l2_target):
-    if l2_target <= 0.0:
+    if l2_target < 0.0:
+        raise ValueError(f"data.l2_norm must not be negative, got {l2_target}")
+    if l2_target == 0.0:
         return u0
     norm = math.sqrt(mass(u0))
     if not math.isfinite(norm):
@@ -526,10 +531,11 @@ SETUPS = {
     ("transversality", None): ({}, _transversality),
 }
 
-# section key that picks the regime of a multi-regime command
-REGIME_KEYS = {"strichartz": "kind", "trilinear": "regime"}
-# keys of its command's section that a regime never reads: SCHEMA's value only
+# section key that picks the regime of a multi-regime command, or the data kind
+REGIME_KEYS = {"strichartz": "kind", "trilinear": "regime", "data": "kind"}
+# keys of its section that a regime never reads: SCHEMA's value only
 UNREAD_KEYS = {
+    ("data", "zero"): ("amplitude",),
     ("strichartz", "lowfreq"): ("q", "r"),
     ("trilinear", "lw_band"): ("n1", "l3", "comparator_shift"),
     ("trilinear", "lw_modulation"): ("l", "l3"),

@@ -21,7 +21,8 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .grid import dealiased_product, require_zero_x_mean, trusted_field
+from .grid import (dealiased_product, require_zero_x_mean, trusted_field,
+                   work_arrays)
 from .symbols import interaction_boxes, omega_arrays, resonance_arrays
 
 SCHEMES = ("etdrk4", "strang")
@@ -188,13 +189,20 @@ def _etdrk4_step(params, field, dt):
     return trusted_field(grid, out)
 
 
+def _combined(u, h, k):
+    """u + h k, bit for bit `u + h * k`, but h k goes to a work array, so
+    only the returned half is allocated."""
+    scaled = np.multiply(k.half, h, out=work_arrays(u.grid).spectrum)
+    return trusted_field(u.grid, u.half + scaled)
+
+
 def _strang_step(params, field, dt):
     half = propagate_linear(params, field, dt / 2.0)
-    # explicit midpoint for the Burgers substep
-    k1 = nonlinearity(params, half)
-    mid = half + (dt / 2.0) * k1
-    k2 = nonlinearity(params, mid)
-    half = half + dt * k2
+    # explicit midpoint for the Burgers substep; each slope and the midpoint
+    # are freed as soon as they are used, so the next array reuses their pages
+    mid = _combined(half, dt / 2.0, nonlinearity(params, half))
+    half = _combined(half, dt, nonlinearity(params, mid))
+    del mid
     return propagate_linear(params, half, dt / 2.0)
 
 

@@ -25,6 +25,12 @@ one condition, an exactly Hermitian eta = 0 column, which real transforms
 and exactly Hermitian multipliers keep after.  The Nyquist row/column is
 zero (it has no symmetric partner on an even grid).  The FKPI1 file format
 holds the full spectrum, as it always has.
+
+The solver's hot path (the dealiased product, the Strang combines and the
+energy) writes its large temporaries into work arrays that are kept from
+one call to the next, one set per thread for the grid it last used, so the
+march stops zero-filling fresh pages on every call; a work array never
+escapes into a field.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from __future__ import annotations
 import math
 import numbers
 import struct
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -133,6 +140,49 @@ class FrequencyGrid:
     @cached_property
     def cell_area(self):
         return self.dx * self.dy
+
+
+class _WorkArrays:
+    """One thread's reusable arrays for one grid, each made on first use."""
+
+    def __init__(self, grid):
+        self.grid = grid
+
+    @cached_property
+    def spectrum(self):
+        """A complex half spectrum."""
+        return np.empty(self.grid.half_shape, dtype=np.complex128)
+
+    @cached_property
+    def samples(self):
+        """Real samples on the grid."""
+        return np.empty((self.grid.modes_x, self.grid.modes_y))
+
+    @cached_property
+    def samples_2(self):
+        """Samples of a product's second factor."""
+        return np.empty((self.grid.modes_x, self.grid.modes_y))
+
+    def spent_spectrum(self, shape):
+        """The spectrum array's memory as a real array of shape (at most
+        modes_x * modes_y values), for a caller that is done with the
+        spectrum: the energy's cube and |h|^2 then hold no more arrays of
+        the grid's size, which would raise the march's peak memory."""
+        flat = self.spectrum.view(np.float64).reshape(-1)
+        return flat[: math.prod(shape)].reshape(shape)
+
+
+_WORK = threading.local()
+
+
+def work_arrays(grid):
+    """Package-internal: this thread's work arrays for grid.  They are
+    overwritten by the next call that uses them, so none may be wrapped in a
+    field or outlive the call that filled it."""
+    work = getattr(_WORK, "arrays", None)
+    if work is None or work.grid != grid:
+        work = _WORK.arrays = _WorkArrays(grid)
+    return work
 
 
 def _reflect(coeffs):
@@ -298,21 +348,36 @@ def is_dyadic(value):
     return math.frexp(value)[0] == 0.5
 
 
+def dealiased_samples(field, out):
+    """cell_area times the samples of field's retained modes, into out.
+
+    Runs irfft2's own two passes, the axis-0 ifft in place on this thread's
+    spectrum work array, so the result is bit for bit irfft2's and nothing
+    of the grid's size is allocated.
+    """
+    grid = field.grid
+    spec = np.multiply(field.half, grid.dealias_mask, out=work_arrays(grid).spectrum)
+    np.fft.ifft(spec, grid.modes_x, 0, out=spec)
+    return np.fft.irfft(spec, grid.modes_y, 1, out=out)
+
+
 def dealiased_product(f, g):
     """Pointwise product with the 2/3 rule applied before and after.
 
     Both inputs are truncated to the retained modes, multiplied in
     physical space, and the result is truncated again, so quadratic
-    aliasing cannot fold spurious energy back into retained modes.
+    aliasing cannot fold spurious energy back into retained modes.  Only
+    the returned spectrum is a fresh array.
     """
     _require_same_grid(f, g)
     grid = f.grid
-    mask = grid.dealias_mask
-    shape = (grid.modes_x, grid.modes_y)
-    fa = np.fft.irfft2(f.half * mask, s=shape)
-    ga = fa if g is f else np.fft.irfft2(g.half * mask, s=shape)
+    work = work_arrays(grid)
+    fa = dealiased_samples(f, work.samples)
+    ga = fa if g is f else dealiased_samples(g, work.samples_2)
     # fa, ga are cell_area * samples; one net 1/cell_area restores the convention
-    square = np.fft.rfft2(fa * ga)
+    # rfft2's axis-0 pass runs in place on out; without out it allocates twice
+    square = np.fft.rfft2(np.multiply(fa, ga, out=fa),
+                          out=np.empty(grid.half_shape, dtype=np.complex128))
     square *= grid.product_scale
     return trusted_field(grid, _fold_eta0(square))
 

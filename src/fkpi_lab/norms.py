@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import plane_residual, to_physical, trusted_field
+from .grid import dealiased_samples, plane_residual, to_physical, work_arrays
 
 
 @dataclass(frozen=True)
@@ -88,10 +88,17 @@ def energy_alpha(params, field):
     """
     _check_eta_column(field, "energy_alpha")
     grid = field.grid
-    u_deal = to_physical(trusted_field(grid, field.half * grid.dealias_mask))
-    cubic = float(np.sum(u_deal * u_deal * u_deal) * grid.cell_area) / 6.0
-    weight = _quadratic_weight(grid, params.alpha)
-    return float(np.sum(weight * np.abs(field.half) ** 2)) + cubic
+    work = work_arrays(grid)
+    u_deal = dealiased_samples(field, work.samples)
+    u_deal /= grid.cell_area
+    # the cube, then |h|^2, go to the spectrum's memory, spent by now
+    cube = np.multiply(u_deal, u_deal, out=work.spent_spectrum(u_deal.shape))
+    cube *= u_deal
+    cubic = float(np.sum(cube) * grid.cell_area) / 6.0
+    power = np.abs(field.half, out=work.spent_spectrum(grid.half_shape))
+    np.square(power, out=power)
+    power *= _quadratic_weight(grid, params.alpha)
+    return float(np.sum(power)) + cubic
 
 
 def _lr_norm(field, r):

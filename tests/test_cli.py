@@ -399,6 +399,12 @@ class TestExitCodes:
         # zero data, which no scaling brings to a positive norm
         (["data.amplitude=0", "data.l2_norm=1"], "data.l2_norm > 0 needs nonzero data"),
         (["data.kind=zero", "data.l2_norm=1"], "data.l2_norm > 0 needs nonzero data"),
+        # a norm below zero, which no scaling reaches
+        (["data.l2_norm=-1"], "data.l2_norm must not be negative, got -1.0"),
+        (["data.kind=zero", "data.l2_norm=-1"], "data.l2_norm must not be negative"),
+        # an amplitude that zero data never reads
+        (["data.kind=zero", "data.amplitude=0.3"],
+         "the zero regime does not read data.amplitude"),
     ])
     def test_nonfinite_data_exits_1_without_records(self, tmp_path, capsys, command,
                                                     settings, message):

@@ -1,5 +1,5 @@
 """tools/compare_runs.py names the differing columns of a records file and
-reports each side's peak memory and package size."""
+reports each side's peak memory, page faults and package size."""
 
 import importlib.util
 import json
@@ -58,11 +58,13 @@ def test_jsonl_missing_key_reads_as_null(tmp_path):
 
 
 def test_report_shows_both_peaks_before_the_verdict():
-    line = compare_runs.report("conserve", [], [158.31, 62.9])
+    line = compare_runs.report("conserve", [], [158.31, 62.9], [358319, 95012])
     assert line.split() == ["conserve", "peak", "RSS", "158.3", "->", "62.9", "MB",
-                            "same"]
-    line = compare_runs.report("simulate", ["final_state.fkpi"], [None, 50.0])
+                            "faults", "358319", "->", "95012", "same"]
+    line = compare_runs.report("simulate", ["final_state.fkpi"], [None, 50.0],
+                               [None, 4000])
     assert "peak RSS ? -> 50.0 MB" in line
+    assert "faults ? -> 4000 " in line
     assert line.endswith(" differs: final_state.fkpi")
 
 
@@ -84,9 +86,11 @@ def test_size_report_counts_package_lines(tmp_path):
 def test_run_reports_its_peak_rss(tmp_path):
     out = tmp_path / "out"
     out.mkdir()
-    status, stderr, peak = compare_runs.run_config(
+    status, stderr, peak, faults = compare_runs.run_config(
         compare_runs.HERE, "transversality", ["transversality.samples=50"], out)
     assert (status, stderr) == (0, "")
     # numpy alone takes some MB; a run this small takes well under a GB
     assert 10.0 < peak < 1000.0
+    # importing numpy alone touches thousands of pages
+    assert 1000 < faults < 10 ** 7
     assert (out / "records.csv").exists()

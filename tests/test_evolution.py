@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 from oracles import picard_iterate, prefix_weights, sobolev_aniso, x_derivative
 
 from fkpi_lab import evolution as ev
-from fkpi_lab.grid import FrequencyGrid, dealiased_product, to_spectral
+from fkpi_lab.grid import FrequencyGrid, dealiased_product, to_spectral, work_arrays
 from fkpi_lab.norms import AnisoIndex, energy_alpha, mass
 from fkpi_lab.symbols import DispersionParams, interaction_boxes
 
@@ -363,6 +365,78 @@ class TestSolveBookkeeping:
         w = final_state(p, u, 0.01, 1.0)
         assert abs(mass(w) - m0) <= 1e-6 * m0
         assert abs(energy_alpha(p, w) - h0) <= 1e-6 * max(abs(h0), 1e-30)
+
+
+class TestWorkArrays:
+    """The hot path's reused work arrays never reach a returned field, and
+    each thread has its own."""
+
+    @pytest.mark.parametrize("scheme", ev.SCHEMES)
+    def test_returned_fields_stay_unchanged_by_later_steps(self, scheme):
+        g = small_grid(32)
+        u = smooth_field(g, amplitude=0.5)
+        p = DispersionParams(ALPHA)
+        cfg = ev.EvolutionConfig(dt=0.01, T=0.1, scheme=scheme, snapshot_stride=1)
+        states, copies = [u], [u.half.copy()]
+        for _ in range(10):
+            states.append(ev.step(p, states[-1], cfg))
+            copies.append(states[-1].half.copy())
+            energy_alpha(p, states[-1])
+        work = work_arrays(g)
+        buffers = [work.spectrum, work.samples]
+        for i, (state, copy) in enumerate(zip(states, copies)):
+            assert state.half.tobytes() == copy.tobytes()
+            assert not any(np.shares_memory(state.half, b) for b in buffers)
+            if i:
+                assert not np.shares_memory(states[i - 1].half, state.half)
+
+    @pytest.mark.parametrize("scheme", ev.SCHEMES)
+    @pytest.mark.parametrize("shapes", [((64, 64), (96, 64)), ((64, 64),) * 3],
+                             ids=["two-grids", "one-grid"])
+    def test_concurrent_solves_match_serial(self, scheme, shapes):
+        p = DispersionParams(ALPHA)
+        cfg = ev.EvolutionConfig(dt=0.01, T=0.3, scheme=scheme, snapshot_stride=5)
+        data = [smooth_field(FrequencyGrid(2 * np.pi, 2 * np.pi, mx, my), amplitude=a)
+                for (mx, my), a in zip(shapes, (0.5, 0.8, 0.65))]
+
+        def run(u):
+            traj = ev.solve(p, u, cfg, observe=lambda f: energy_alpha(p, f))
+            return traj.fields[-1].half.tobytes(), traj.observed
+        serial = [run(u) for u in data]
+        results = [None] * len(data)
+        start = threading.Barrier(len(data))
+
+        def worker(k):
+            start.wait()
+            results[k] = [run(data[k]) for _ in range(3)]
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(len(data))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for k in range(len(data)):
+            assert results[k] == [serial[k]] * 3
+
+    def test_product_of_two_factors_is_pinned(self):
+        g = small_grid(32)
+        f = smooth_field(g, amplitude=0.5)
+        x, y = np.meshgrid(g.x, g.y, indexing="ij")
+        h = to_spectral(np.cos(3 * x - y) + 0.25 * np.sin(x + 2 * y), g)
+        got = dealiased_product(f, h).half
+        # the parent's value, bit for bit
+        assert got[2, 3] == complex(-0.6168502750680847, 3.6825039815755185e-16)
+        # irfft2 of each factor, rfft2 of the product: equal off the eta = 0
+        # column, which the product folds to exact symmetry
+        shape = (g.modes_x, g.modes_y)
+        fa, ha = (np.fft.irfft2(v.half * g.dealias_mask, s=shape) for v in (f, h))
+        want = np.fft.rfft2(fa * ha) * g.product_scale
+        assert got[:, 1:].tobytes() == want[:, 1:].tobytes()
 
 
 class TestPicard:

@@ -8,14 +8,16 @@ compares what each run wrote: `records.*`, `slopes.json`, `plotdata/`,
 `FAILED`, `final_state.fkpi`, the manifest without `timestamp` and
 `config.output_dir`, the exit status, and stderr with checkout paths
 masked.  Every run is a fresh interpreter with only that checkout's `src`
-on its path.  Prints, per config, the peak resident set size of each side's
-run (parent, then this checkout; the sweep workers are threads, so the run's
-own `ru_maxrss` covers them) and `same` or the differing files, naming the
+on its path.  Prints, per config, the peak resident set size and the minor
+page faults of each side's run (parent, then this checkout; the sweep
+workers are threads, so the run's own `ru_maxrss` and `ru_minflt` cover
+them) and `same` or the differing files, naming the
 differing manifest keys as dotted paths (`manifest.json: config.grid`) and
 the differing records columns (`records.csv: band_hi, band_lo`).  The
 summary gives each side's package size (`src/fkpi_lab: 2854 -> 2740 lines`,
 counted as `wc -l src/fkpi_lab/*.py` counts) before the verdict.  Exits 1
-if any config differs; neither peak memory nor size enters the verdict.
+if any config differs; neither peak memory, faults nor size enters the
+verdict.
 Standard library only; the two checkouts need numpy, as the CLI does.
 """
 
@@ -65,13 +67,15 @@ CONFIGS = [
 ]
 
 # Runs the CLI, after checking that fkpi_lab came from the given src, and
-# prints the process's peak RSS in MB (ru_maxrss is in KiB on Linux) as the
-# last line of stdout; the CLI itself writes nothing there.
+# prints the process's peak RSS in MB (ru_maxrss is in KiB on Linux) and its
+# minor page faults as the last line of stdout; the CLI itself writes
+# nothing there.
 RUNNER = ("import resource, sys, fkpi_lab, fkpi_lab.cli\n"
           "if not fkpi_lab.__file__.startswith(sys.argv[1]):\n"
           "    sys.exit(f'fkpi_lab imported from {fkpi_lab.__file__}')\n"
           "status = fkpi_lab.cli.main(sys.argv[2:])\n"
-          "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0)\n"
+          "usage = resource.getrusage(resource.RUSAGE_SELF)\n"
+          "print(usage.ru_maxrss / 1024.0, usage.ru_minflt)\n"
           "sys.exit(status)\n")
 
 ARTIFACTS = ("records.csv", "records.jsonl", "slopes.json", "FAILED",
@@ -80,7 +84,8 @@ ARTIFACTS = ("records.csv", "records.jsonl", "slopes.json", "FAILED",
 
 def run_config(checkout, command, overrides, out_dir):
     """Run one config against checkout/src; returns (status, stderr, peak RSS
-    in MB, or None when the run died before reporting it)."""
+    in MB, minor page faults), the last two None when the run died before
+    reporting them."""
     src = str(checkout / "src")
     argv = [command, "--output-dir", str(out_dir), "--set", f"workers={WORKERS}"]
     for item in overrides:
@@ -91,10 +96,11 @@ def run_config(checkout, command, overrides, out_dir):
                           text=True, check=False)
     lines = proc.stdout.splitlines()
     try:
-        peak = float(lines[-1])
+        peak, faults = lines[-1].split()
+        peak, faults = float(peak), int(faults)
     except (IndexError, ValueError):
-        peak = None
-    return proc.returncode, proc.stderr.replace(src, "<src>"), peak
+        peak = faults = None
+    return proc.returncode, proc.stderr.replace(src, "<src>"), peak, faults
 
 
 def manifest_digests(path):
@@ -156,22 +162,26 @@ def describe(diff):
 
 
 def compare(parent, config, work):
-    """(the differing names, [parent, change] peak RSS) of one config."""
+    """(the differing names, [parent, change] peak RSS, [parent, change]
+    minor page faults) of one config."""
     name, command, overrides = config
-    seen, peaks = [], []
+    seen, peaks, faults = [], [], []
     for side, checkout in (("parent", parent), ("change", HERE)):
         out_dir = work / side / name
         out_dir.mkdir(parents=True)
-        status, stderr, peak = run_config(checkout, command, overrides, out_dir)
+        status, stderr, peak, fault = run_config(checkout, command, overrides, out_dir)
         seen.append(digests(out_dir, status, stderr))
         peaks.append(peak)
-    return differing(*seen), peaks
+        faults.append(fault)
+    return differing(*seen), peaks, faults
 
 
-def report(name, diff, peaks):
-    """One config's line: its name, each side's peak RSS, then the verdict."""
+def report(name, diff, peaks, faults):
+    """One config's line: its name, each side's peak RSS and minor page
+    faults, then the verdict."""
     shown = " -> ".join("?" if p is None else f"{p:.1f}" for p in peaks)
-    return (f"{name:<34} peak RSS {shown + ' MB':<20} "
+    counts = " -> ".join("?" if f is None else str(f) for f in faults)
+    return (f"{name:<34} peak RSS {shown + ' MB':<20} faults {counts:<18} "
             f"{'same' if not diff else 'differs: ' + describe(diff)}")
 
 
@@ -199,9 +209,9 @@ def main(argv=None):
     differing = 0
     with tempfile.TemporaryDirectory(prefix="compare_runs-") as tmp:
         for config in CONFIGS:
-            diff, peaks = compare(parent, config, pathlib.Path(tmp))
+            diff, peaks, faults = compare(parent, config, pathlib.Path(tmp))
             differing += bool(diff)
-            print(report(config[0], diff, peaks), flush=True)
+            print(report(config[0], diff, peaks, faults), flush=True)
     print(size_report(parent))
     total = len(CONFIGS)
     print(f"{total} configs: " + ("same" if not differing
